@@ -33,6 +33,8 @@ from .core import (
 )
 
 ACTIVATIONS = ("tanh", "sigmoid")
+BREGMAN_UPDATES = ("reflective", "additive")
+LATENT_UPDATES = ("coupled", "anchored")
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +228,8 @@ class TrainConfig:
     ridge_eps: float = 1e-6
     activation: str = "tanh"
     clamp_eps: float = 1e-6
-    bregman_update: str = "reflective"  # or "additive"
-    latent_update: str = "coupled"  # or "anchored"
+    bregman_update: str = "reflective"
+    latent_update: str = "coupled"
     seed: int = 0
     learning_rate: float = 0.01  # l2 baseline only
     epochs: int = 200  # l2 baseline only
@@ -237,9 +239,9 @@ class TrainConfig:
             raise ValueError("hidden and max_iter must be positive")
         if min(self.lam, self.mu, self.ridge_eps, self.clamp_eps) <= 0:
             raise ValueError("lam, mu, ridge_eps, clamp_eps must be positive")
-        if self.bregman_update not in ("reflective", "additive"):
+        if self.bregman_update not in BREGMAN_UPDATES:
             raise ValueError(f"unknown bregman_update: {self.bregman_update!r}")
-        if self.latent_update not in ("coupled", "anchored"):
+        if self.latent_update not in LATENT_UPDATES:
             raise ValueError(f"unknown latent_update: {self.latent_update!r}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation: {self.activation!r}")
@@ -435,15 +437,32 @@ def l2_loss_and_grads(model, tset):
 def train_l2_baseline(tset: TrainingSet, config: TrainConfig) -> AutoencoderModel:
     """Full-batch gradient descent on the Euclidean reconstruction cost.
 
-    Uses the same seeded initialization as the robust trainer.  Raises
-    :class:`NumericFailure` if the loss exceeds 1e6 times its initial
-    value (divergence guard).
+    Runs ``config.epochs`` epochs from the robust trainer's seeded
+    initialization.  Raises :class:`NumericFailure` if the loss exceeds 1e6
+    times its initial value (divergence guard).
     """
+    return _l2_descent(tset, config, lambda epoch, _: epoch >= config.epochs)[0]
+
+
+def train_l2_timed(tset: TrainingSet, config: TrainConfig, budget_seconds: float):
+    """Gradient descent in blocks of 25 epochs until a wall-clock budget is
+    spent; returns (model, epochs)."""
+
+    def spent(epoch, seconds):
+        return epoch % 25 == 0 and seconds >= budget_seconds
+
+    return _l2_descent(tset, config, spent)
+
+
+def _l2_descent(tset, config, stop):
+    """The l2 trainers' loop; runs until ``stop(epochs, seconds)`` is true."""
     if tset.count < 1:
         raise ValueError("training set is empty")
     model = _initial_weights(tset.x_out.shape[0], config)
     initial = None
-    for epoch in range(config.epochs):
+    epoch = 0
+    start = time.perf_counter()
+    while not stop(epoch, time.perf_counter() - start):
         loss, g_enc, g_dec = l2_loss_and_grads(model, tset)
         if initial is None:
             initial = loss
@@ -451,26 +470,8 @@ def train_l2_baseline(tset: TrainingSet, config: TrainConfig) -> AutoencoderMode
             raise NumericFailure(f"l2 training diverged at epoch {epoch}")
         model.w_enc = model.w_enc - config.learning_rate * g_enc
         model.w_dec = model.w_dec - config.learning_rate * g_dec
-    return model
-
-
-def train_l2_timed(tset: TrainingSet, config: TrainConfig, budget_seconds: float):
-    """Gradient descent in epoch blocks until a wall-clock budget is spent."""
-    model = _initial_weights(tset.x_out.shape[0], config)
-    initial = None
-    start = time.perf_counter()
-    epochs = 0
-    while time.perf_counter() - start < budget_seconds:
-        for _ in range(25):
-            loss, g_enc, g_dec = l2_loss_and_grads(model, tset)
-            if initial is None:
-                initial = loss
-            if not np.isfinite(loss) or loss > 1e6 * max(initial, 1e-300):
-                raise NumericFailure(f"l2 training diverged at epoch {epochs}")
-            model.w_enc = model.w_enc - config.learning_rate * g_enc
-            model.w_dec = model.w_dec - config.learning_rate * g_dec
-            epochs += 1
-    return model, epochs
+        epoch += 1
+    return model, epoch
 
 
 # ---------------------------------------------------------------------------

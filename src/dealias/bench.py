@@ -5,8 +5,8 @@ method, a summary CSV, and a timing CSV.
 
 Every CSV embeds the fully resolved configuration as '# key=value'
 comment lines; re-running from that header reproduces the metric CSVs
-byte for byte (single-worker).  Only timing.csv carries wall-clock
-measurements and is therefore not byte-reproducible.
+byte for byte.  Only timing.csv carries wall-clock measurements and is
+therefore not byte-reproducible.
 """
 
 from __future__ import annotations
@@ -16,13 +16,12 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .autoencoder import TrainConfig, train_l2_baseline, train_robust
-from .config import RunConfig
+from .autoencoder import train_l2_baseline, train_robust
+from .config import RunConfig, degradation_spec, train_config
 from .core import SeededRng, atomic_write_bytes, random_phantom, read_tensor, write_tensor
 from .cs import cs_reconstruct_image
 from .metrics import MetricReport, MetricRow, nmse, psnr, ssim
 from .pipeline import (
-    DegradationSpec,
     TEST_SEED_OFFSET,
     _entry_spec,
     build_mask,
@@ -43,49 +42,15 @@ class BenchResult:
     config: RunConfig
 
 
-def degradation_from_config(config: RunConfig) -> DegradationSpec:
-    modality = config["modality"]
-    seed = config["degrade_seed"]
-    if modality == "mri":
-        kind = config["mask_kind"]
-        params = {
-            "random": {"fraction": config["mask_fraction"]},
-            "variable-density": {"decay": config["mask_decay"]},
-            "radial": {"lines": config["mask_lines"]},
-            "periodic": {"stride": config["mask_stride"]},
-        }[kind]
-        return DegradationSpec("mri", mask_kind=kind, mask_params=params, seed=seed)
-    if modality == "ct":
-        return DegradationSpec("ct", ct_spacing_deg=config["ct_spacing_deg"], seed=seed)
-    return DegradationSpec(
-        "impulse", impulse_fraction=config["impulse_fraction"], seed=seed
-    )
-
-
-def train_config_from(config: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        hidden=config["hidden"],
-        lam=config["lambda"],
-        mu=config["mu"],
-        max_iter=config["max_iter"],
-        rel_tol=config["rel_tol"],
-        ridge_eps=config["ridge_eps"],
-        activation=config["activation"],
-        clamp_eps=config["clamp_eps"],
-        bregman_update=config["bregman_update"],
-        latent_update=config["latent_update"],
-        seed=config["train_seed"],
-        learning_rate=config["l2_learning_rate"],
-        epochs=config["l2_epochs"],
-    )
-
-
 def _ensure_corpus(config: RunConfig, outdir):
     """Resolve the train/test manifests, generating a procedural corpus
     of seeded phantoms when explicit manifests are not configured."""
-    if config["train_manifest"] and config["test_manifest"]:
-        train = load_manifest(config["train_manifest"])
-        test = load_manifest(config["test_manifest"])
+    train_manifest, test_manifest = config["train_manifest"], config["test_manifest"]
+    if bool(train_manifest) != bool(test_manifest):
+        raise ValueError("set both train_manifest and test_manifest, or neither")
+    if train_manifest:
+        train = load_manifest(train_manifest)
+        test = load_manifest(test_manifest)
     else:
         corpus_dir = config["corpus_dir"]
         if not os.path.isabs(corpus_dir):
@@ -117,20 +82,18 @@ def _timed(fn, *args, **kwargs):
 
 
 def run_benchmark(config: RunConfig, outdir) -> BenchResult:
-    if config["workers"] != 1:
-        raise ValueError("only single-worker mode is implemented (workers=1)")
+    spec = degradation_spec(config)
+    tconf = train_config(config)
+    transform = SparsifyingTransform(config["transform"], config["wavelet_levels"])
     os.makedirs(outdir, exist_ok=True)
     train_entries, test_entries = _ensure_corpus(config, outdir)
-    spec = degradation_from_config(config)
     patch_size = config["patch_size"]
     overlap = config["overlap"]
 
     tset = build_training_set(train_entries, spec, patch_size, config["train_overlap"])
-    tconf = train_config_from(config)
     (robust_model, _), robust_seconds = _timed(train_robust, tset, tconf)
     l2_model, l2_seconds = _timed(train_l2_baseline, tset, tconf)
 
-    transform = SparsifyingTransform(config["transform"], config["wavelet_levels"])
     use_ista = spec.modality == "mri"
     reports = {m: MetricReport(rows=[]) for m in METHODS if use_ista or m != "ista"}
 

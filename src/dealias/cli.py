@@ -13,13 +13,19 @@ import numpy as np
 
 from . import bench as bench_mod
 from .autoencoder import (
-    TrainConfig,
     load_model,
     save_model,
     train_l2_baseline,
     train_robust,
 )
-from .config import load_config_file, resolve_config
+from .config import (
+    CHOICES,
+    DEFAULTS,
+    degradation_spec,
+    load_config_file,
+    resolve_config,
+    train_config,
+)
 from .core import (
     FormatError,
     NumericFailure,
@@ -31,48 +37,61 @@ from .core import (
 )
 from .cs import cs_reconstruct_image
 from .metrics import nmse, psnr, ssim
-from .pipeline import (
-    DegradationSpec,
-    build_mask,
-    build_training_set,
-    degrade,
-    reconstruct_image,
-)
+from .pipeline import build_mask, build_training_set, degrade, reconstruct_image
 from .transforms import SparsifyingTransform, fft2, save_mask
 
+# (flag, config key) of every flag a subcommand takes from config.DEFAULTS;
+# each flag's type, default and choices are those of its key
+_DEGRADATION_FLAGS = (
+    ("--modality", "modality"),
+    ("--mask-kind", "mask_kind"),
+    ("--mask-fraction", "mask_fraction"),
+    ("--mask-decay", "mask_decay"),
+    ("--mask-lines", "mask_lines"),
+    ("--mask-stride", "mask_stride"),
+    ("--ct-spacing", "ct_spacing_deg"),
+    ("--impulse-fraction", "impulse_fraction"),
+    ("--seed", "degrade_seed"),
+)
+_CONFIG_FLAGS = {
+    "degrade": _DEGRADATION_FLAGS,
+    "train": (
+        ("--hidden", "hidden"),
+        ("--lambda", "lambda"),
+        ("--mu", "mu"),
+        ("--max-iter", "max_iter"),
+        ("--rel-tol", "rel_tol"),
+        ("--activation", "activation"),
+        ("--bregman", "bregman_update"),
+        ("--latent", "latent_update"),
+        ("--train-seed", "train_seed"),
+        ("--learning-rate", "l2_learning_rate"),
+        ("--epochs", "l2_epochs"),
+        ("--patch-size", "patch_size"),
+    ) + _DEGRADATION_FLAGS,
+    "cs-recon": (
+        ("--lambda", "ista_lambda"),
+        ("--iters", "ista_iters"),
+        ("--tol", "ista_tol"),
+        ("--transform", "transform"),
+        ("--levels", "wavelet_levels"),
+    ) + _DEGRADATION_FLAGS,
+}
 
-def _add_degradation_flags(parser):
-    parser.add_argument("--modality", choices=("mri", "ct", "impulse"), default="mri")
-    parser.add_argument(
-        "--mask-kind",
-        choices=("random", "variable-density", "radial", "periodic"),
-        default="random",
-    )
-    parser.add_argument("--mask-fraction", type=float, default=0.5)
-    parser.add_argument("--mask-decay", type=float, default=1.0)
-    parser.add_argument("--mask-lines", type=int, default=24)
-    parser.add_argument("--mask-stride", type=int, default=2)
-    parser.add_argument("--ct-spacing", type=float, default=5.0)
-    parser.add_argument("--impulse-fraction", type=float, default=0.15)
-    parser.add_argument("--seed", type=int, default=0)
 
-
-def _spec_from_args(args) -> DegradationSpec:
-    if args.modality == "mri":
-        params = {
-            "random": {"fraction": args.mask_fraction},
-            "variable-density": {"decay": args.mask_decay},
-            "radial": {"lines": args.mask_lines},
-            "periodic": {"stride": args.mask_stride},
-        }[args.mask_kind]
-        return DegradationSpec(
-            "mri", mask_kind=args.mask_kind, mask_params=params, seed=args.seed
+def _add_config_flags(parser, command):
+    for flag, key in _CONFIG_FLAGS[command]:
+        default = DEFAULTS[key]
+        parser.add_argument(
+            flag, dest=key, type=type(default), default=default,
+            choices=CHOICES.get(key),
         )
-    if args.modality == "ct":
-        return DegradationSpec("ct", ct_spacing_deg=args.ct_spacing, seed=args.seed)
-    return DegradationSpec(
-        "impulse", impulse_fraction=args.impulse_fraction, seed=args.seed
-    )
+
+
+def _run_config(args):
+    """The resolved config that a subcommand's config-backed flags select."""
+    flags = _CONFIG_FLAGS[args.command]
+    return resolve_config(overrides={key: getattr(args, key) for _, key in flags})
 
 
 def _build_parser():
@@ -92,27 +111,13 @@ def _build_parser():
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--save-mask", help="persist the sampling mask (mri only)")
-    _add_degradation_flags(p)
+    _add_config_flags(p, "degrade")
 
     p = sub.add_parser("train", help="train a de-aliasing model on a corpus")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="model bundle directory")
     p.add_argument("--method", choices=("robust", "l2"), default="robust")
-    p.add_argument("--hidden", type=int, default=256)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--rel-tol", type=float, default=1e-4)
-    p.add_argument("--activation", choices=("tanh", "sigmoid"), default="tanh")
-    p.add_argument(
-        "--bregman", choices=("reflective", "additive"), default="reflective"
-    )
-    p.add_argument("--latent", choices=("coupled", "anchored"), default="coupled")
-    p.add_argument("--train-seed", type=int, default=0)
-    p.add_argument("--learning-rate", type=float, default=1e-4)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--patch-size", type=int, default=32)
-    _add_degradation_flags(p)
+    _add_config_flags(p, "train")
 
     p = sub.add_parser("reconstruct", help="de-alias an image with a trained model")
     p.add_argument("--model", required=True)
@@ -123,12 +128,7 @@ def _build_parser():
     p = sub.add_parser("cs-recon", help="ISTA compressed-sensing reconstruction")
     p.add_argument("--image", required=True, help="clean image; acquisition is simulated")
     p.add_argument("--out", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.02)
-    p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--transform", choices=("haar-wavelet", "dct"), default="haar-wavelet")
-    p.add_argument("--levels", type=int, default=3)
-    _add_degradation_flags(p)
+    _add_config_flags(p, "cs-recon")
 
     p = sub.add_parser("metrics", help="compare two images")
     p.add_argument("--a", required=True, help="estimate")
@@ -163,7 +163,7 @@ def _cmd_phantom(args):
 
 def _cmd_degrade(args):
     image = read_tensor(args.image)
-    spec = _spec_from_args(args)
+    spec = degradation_spec(_run_config(args))
     write_tensor(args.out, degrade(image, spec))
     if args.save_mask:
         if spec.modality != "mri":
@@ -173,21 +173,9 @@ def _cmd_degrade(args):
 
 
 def _cmd_train(args):
-    spec = _spec_from_args(args)
-    tset = build_training_set(args.manifest, spec, args.patch_size)
-    config = TrainConfig(
-        hidden=args.hidden,
-        lam=args.lam,
-        mu=args.mu,
-        max_iter=args.max_iter,
-        rel_tol=args.rel_tol,
-        activation=args.activation,
-        bregman_update=args.bregman,
-        latent_update=args.latent,
-        seed=args.train_seed,
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-    )
+    run = _run_config(args)
+    config = train_config(run)
+    tset = build_training_set(args.manifest, degradation_spec(run), run["patch_size"])
     if args.method == "robust":
         model, state = train_robust(tset, config)
         print(f"iterations={state.iteration}", file=sys.stderr)
@@ -212,14 +200,15 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_cs_recon(args):
-    if args.modality != "mri":
+    run = _run_config(args)
+    if run["modality"] != "mri":
         raise ValueError("cs-recon supports the mri modality only")
     image = read_tensor(args.image)
-    spec = _spec_from_args(args)
-    mask = build_mask(spec, *image.shape)
-    transform = SparsifyingTransform(args.transform, args.levels)
+    mask = build_mask(degradation_spec(run), *image.shape)
+    transform = SparsifyingTransform(run["transform"], run["wavelet_levels"])
     result = cs_reconstruct_image(
-        fft2(image, "forward"), mask, transform, args.lam, args.iters, args.tol
+        fft2(image, "forward"), mask, transform,
+        run["ista_lambda"], run["ista_iters"], run["ista_tol"],
     )
     write_tensor(args.out, result)
     return 0

@@ -1,8 +1,11 @@
 """Flat key=value run configuration.
 
-A config file holds one ``key=value`` pair per line (``#`` comments
-allowed).  Unknown keys are rejected; values are coerced to the type of
-the key's default.  Command-line overrides win over file values.  The
+``DEFAULTS`` is the single source of every setting: ``dealias bench``
+resolves it, and the ``degrade``/``train``/``cs-recon`` flags take their
+defaults from it.  A config file holds one ``key=value`` pair per line
+(``#`` comments allowed).  Unknown keys are rejected; values are coerced
+to the type of the key's default, and enumerated keys must take one of
+their ``CHOICES``.  Command-line overrides win over file values.  The
 fully resolved configuration prints back as a canonical sorted listing
 that is embedded as a comment header in every report, so any run can be
 reproduced from its own outputs.
@@ -11,6 +14,10 @@ reproduced from its own outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .autoencoder import ACTIVATIONS, BREGMAN_UPDATES, LATENT_UPDATES, TrainConfig
+from .pipeline import MODALITIES, DegradationSpec
+from .transforms import MASK_KINDS, TRANSFORM_KINDS
 
 DEFAULTS = {
     # procedural corpus (used when no explicit manifests are given)
@@ -60,7 +67,16 @@ DEFAULTS = {
     # benchmark harness
     "timing_reps": 5,
     "timing_ista_iters": 200,
-    "workers": 1,
+}
+
+# allowed values of the enumerated keys
+CHOICES = {
+    "modality": MODALITIES,
+    "mask_kind": MASK_KINDS,
+    "activation": ACTIVATIONS,
+    "bregman_update": BREGMAN_UPDATES,
+    "latent_update": LATENT_UPDATES,
+    "transform": TRANSFORM_KINDS,
 }
 
 
@@ -77,7 +93,12 @@ def _coerce(key: str, text: str):
         return int(text)
     if isinstance(default, float):
         return float(text)
-    return text.strip()
+    value = text.strip()
+    if key in CHOICES and value not in CHOICES[key]:
+        raise ValueError(
+            f"config key {key!r}: expected one of {CHOICES[key]}, got {value!r}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -145,3 +166,41 @@ def config_from_report_header(path) -> RunConfig:
     if not lines:
         raise ValueError(f"no config header found in {path}")
     return resolve_config(parse_config_lines(lines))
+
+
+def train_config(run) -> TrainConfig:
+    """Robust-trainer and l2-baseline settings of a resolved config."""
+    return TrainConfig(
+        hidden=run["hidden"],
+        lam=run["lambda"],
+        mu=run["mu"],
+        max_iter=run["max_iter"],
+        rel_tol=run["rel_tol"],
+        ridge_eps=run["ridge_eps"],
+        activation=run["activation"],
+        clamp_eps=run["clamp_eps"],
+        bregman_update=run["bregman_update"],
+        latent_update=run["latent_update"],
+        seed=run["train_seed"],
+        learning_rate=run["l2_learning_rate"],
+        epochs=run["l2_epochs"],
+    )
+
+
+def degradation_spec(run) -> DegradationSpec:
+    """The acquisition a resolved config selects."""
+    modality, seed = run["modality"], run["degrade_seed"]
+    if modality == "mri":
+        kind = run["mask_kind"]
+        params = {
+            "random": {"fraction": run["mask_fraction"]},
+            "variable-density": {"decay": run["mask_decay"]},
+            "radial": {"lines": run["mask_lines"]},
+            "periodic": {"stride": run["mask_stride"]},
+        }[kind]
+        return DegradationSpec("mri", mask_kind=kind, mask_params=params, seed=seed)
+    if modality == "ct":
+        return DegradationSpec("ct", ct_spacing_deg=run["ct_spacing_deg"], seed=seed)
+    return DegradationSpec(
+        "impulse", impulse_fraction=run["impulse_fraction"], seed=seed
+    )

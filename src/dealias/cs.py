@@ -31,7 +31,6 @@ class LinearOperator:
     adjoint: Callable[[np.ndarray], np.ndarray]
     in_dim: int
     out_dim: int
-    realization: str = "explicit-matrix"
 
 
 def operator_from_matrix(a) -> LinearOperator:
@@ -41,7 +40,6 @@ def operator_from_matrix(a) -> LinearOperator:
         adjoint=lambda y: a.T @ y,
         in_dim=a.shape[1],
         out_dim=a.shape[0],
-        realization="explicit-matrix",
     )
 
 
@@ -72,7 +70,6 @@ def masked_fourier_operator(
         adjoint=adjoint,
         in_dim=shape[0] * shape[1],
         out_dim=sel.size,
-        realization="masked-fourier-with-sparsifier",
     )
 
 

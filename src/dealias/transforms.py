@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .core import SeededRng, atomic_write_bytes, ensure_image, read_tensor, write_tensor
+from .core import SeededRng, ensure_image, write_tensor
 
 MASK_KINDS = ("random", "variable-density", "radial", "periodic")
+TRANSFORM_KINDS = ("haar-wavelet", "dct")
 
 
 def _is_pow2(n: int) -> bool:
@@ -169,11 +170,6 @@ def save_mask(path, mask: SamplingMask) -> None:
     write_tensor(path, mask.selected.astype(np.float64))
 
 
-def load_mask(path) -> SamplingMask:
-    grid = read_tensor(path)
-    return SamplingMask(kind="custom", selected=grid > 0.5)
-
-
 # ---------------------------------------------------------------------------
 # parallel-beam tomography
 # ---------------------------------------------------------------------------
@@ -306,20 +302,6 @@ def fbp_reconstruct(projections: ProjectionSet, size: int, window=None) -> np.nd
     return scale * backproject(filtered, size)
 
 
-def save_projections(path, projections: ProjectionSet) -> None:
-    """Sinogram as RDT1 plus a sidecar text file of angles, one per line."""
-    write_tensor(path, projections.sinogram)
-    lines = "".join(f"{float(a)!r}\n" for a in projections.angles_deg)
-    atomic_write_bytes(str(path) + ".angles.txt", lines.encode("ascii"))
-
-
-def load_projections(path) -> ProjectionSet:
-    sino = read_tensor(path)
-    with open(str(path) + ".angles.txt", "r", encoding="ascii") as fh:
-        angles = [float(line) for line in fh if line.strip()]
-    return ProjectionSet(angles_deg=np.asarray(angles), sinogram=sino)
-
-
 # ---------------------------------------------------------------------------
 # orthonormal sparsifying transforms
 # ---------------------------------------------------------------------------
@@ -333,7 +315,7 @@ class SparsifyingTransform:
     levels: int = 3
 
     def __post_init__(self):
-        if self.kind not in ("haar-wavelet", "dct"):
+        if self.kind not in TRANSFORM_KINDS:
             raise ValueError(f"unknown transform kind: {self.kind!r}")
         if self.levels < 1:
             raise ValueError("levels must be positive")

@@ -1,12 +1,21 @@
 """Command-line dispatch, exit codes, config handling, benchmark harness."""
 
+import argparse
+
 import numpy as np
 import pytest
 
 import dealias as d
+from dealias import cli
 from dealias.cli import command_dispatch
-from dealias.config import DEFAULTS, config_from_report_header, resolve_config
-from dealias.core import read_tensor, write_tensor
+from dealias.config import (
+    DEFAULTS,
+    config_from_report_header,
+    degradation_spec,
+    resolve_config,
+    train_config,
+)
+from dealias.core import NumericFailure, read_tensor, write_tensor
 
 
 def run(*argv):
@@ -32,6 +41,11 @@ class TestDispatch:
 
     def test_unknown_command(self, capsys):
         assert run("transmogrify") == 1
+
+    def test_bad_choice_usage_error(self, tmp_path, capsys):
+        assert run("degrade", "--image", str(tmp_path / "i.rdt"),
+                   "--out", str(tmp_path / "o.rdt"), "--modality", "bogus") == 1
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_metrics_mismatched_dims_exit_2(self, tmp_path, capsys):
         write_tensor(tmp_path / "a.rdt", np.zeros((32, 32)))
@@ -131,6 +145,114 @@ class TestConfig:
         assert config["lambda"] == 3.0
 
 
+DEGRADATION_FLAGS = {
+    "--modality": "modality",
+    "--mask-kind": "mask_kind",
+    "--mask-fraction": "mask_fraction",
+    "--mask-decay": "mask_decay",
+    "--mask-lines": "mask_lines",
+    "--mask-stride": "mask_stride",
+    "--ct-spacing": "ct_spacing_deg",
+    "--impulse-fraction": "impulse_fraction",
+    "--seed": "degrade_seed",
+}
+# subcommand -> (required arguments, flags not backed by config, flag -> key)
+SUBCOMMANDS = {
+    "degrade": (
+        ["--image", "i.rdt", "--out", "o.rdt"],
+        {"-h", "--help", "--image", "--out", "--save-mask"},
+        DEGRADATION_FLAGS,
+    ),
+    "train": (
+        ["--manifest", "m.txt", "--out", "model"],
+        {"-h", "--help", "--manifest", "--out", "--method"},
+        {
+            "--hidden": "hidden", "--lambda": "lambda", "--mu": "mu",
+            "--max-iter": "max_iter", "--rel-tol": "rel_tol",
+            "--activation": "activation", "--bregman": "bregman_update",
+            "--latent": "latent_update", "--train-seed": "train_seed",
+            "--learning-rate": "l2_learning_rate", "--epochs": "l2_epochs",
+            "--patch-size": "patch_size", **DEGRADATION_FLAGS,
+        },
+    ),
+    "cs-recon": (
+        ["--image", "i.rdt", "--out", "o.rdt"],
+        {"-h", "--help", "--image", "--out"},
+        {
+            "--lambda": "ista_lambda", "--iters": "ista_iters", "--tol": "ista_tol",
+            "--transform": "transform", "--levels": "wavelet_levels",
+            **DEGRADATION_FLAGS,
+        },
+    ),
+}
+
+
+class TestSingleConfigSurface:
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_flag_defaults_are_config_defaults(self, command):
+        required, plain, keyed = SUBCOMMANDS[command]
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = {
+            option: action
+            for action in sub.choices[command]._actions
+            for option in action.option_strings
+        }
+        assert set(actions) == plain | set(keyed)
+        args = parser.parse_args([command, *required])
+        resolved = resolve_config()
+        for flag, key in keyed.items():
+            parsed = getattr(args, actions[flag].dest)
+            assert parsed == resolved[key], flag
+            assert type(parsed) is type(resolved[key]), flag
+
+    @pytest.mark.parametrize("method", ["robust", "l2"])
+    def test_train_defaults_build_config_objects(self, method, monkeypatch):
+        seen = {}
+
+        def fake_build(manifest, spec, patch_size):
+            seen.update(spec=spec, patch_size=patch_size)
+            return "tset"
+
+        def fake_train(tset, config):
+            seen["config"] = config
+            raise NumericFailure("stop after capturing the config")
+
+        monkeypatch.setattr(cli, "build_training_set", fake_build)
+        monkeypatch.setattr(cli, "train_robust", fake_train)
+        monkeypatch.setattr(cli, "train_l2_baseline", fake_train)
+        assert run("train", "--manifest", "m.txt", "--out", "model",
+                   "--method", method) == 3
+        resolved = resolve_config()
+        assert seen["config"] == train_config(resolved)
+        assert seen["spec"] == degradation_spec(resolved)
+        assert seen["patch_size"] == DEFAULTS["patch_size"]
+
+    @pytest.mark.parametrize("overrides, expected", [
+        ({"mask_kind": "random", "mask_fraction": 0.25, "degrade_seed": 4},
+         d.DegradationSpec("mri", mask_kind="random",
+                           mask_params={"fraction": 0.25}, seed=4)),
+        ({"mask_kind": "variable-density", "mask_decay": 2.0},
+         d.DegradationSpec("mri", mask_kind="variable-density",
+                           mask_params={"decay": 2.0})),
+        ({"mask_kind": "radial", "mask_lines": 12},
+         d.DegradationSpec("mri", mask_kind="radial", mask_params={"lines": 12})),
+        ({"mask_kind": "periodic", "mask_stride": 3},
+         d.DegradationSpec("mri", mask_kind="periodic", mask_params={"stride": 3})),
+        ({"modality": "ct", "ct_spacing_deg": 10.0, "degrade_seed": 2},
+         d.DegradationSpec("ct", ct_spacing_deg=10.0, seed=2)),
+        ({"modality": "impulse", "impulse_fraction": 0.3},
+         d.DegradationSpec("impulse", impulse_fraction=0.3)),
+    ])
+    def test_degradation_spec(self, overrides, expected):
+        assert degradation_spec(resolve_config(overrides=overrides)) == expected
+
+    @pytest.mark.parametrize("key", ["modality", "mask_kind", "transform"])
+    def test_enumerated_key_rejects_unknown_value(self, key):
+        with pytest.raises(ValueError, match="expected one of"):
+            resolve_config(overrides={key: "bogus"})
+
+
 def bench_args(tmp_path, outdir):
     return [
         "bench", "--outdir", str(outdir),
@@ -181,6 +303,20 @@ class TestBench:
         )
         with pytest.raises(ValueError, match="share images"):
             run_benchmark(config, tmp_path / "out")
+
+    def test_bad_setting_fails_before_any_work(self, tmp_path):
+        out = tmp_path / "out"
+        argv = bench_args(tmp_path, out) + ["--set", "wavelet_levels=0"]
+        assert command_dispatch(argv) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["train_manifest", "test_manifest"])
+    def test_half_specified_manifest_pair_rejected(self, tmp_path, key, capsys):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("only.rdt\n")
+        argv = bench_args(tmp_path, tmp_path / "out") + ["--set", f"{key}={manifest}"]
+        assert command_dispatch(argv) == 2
+        assert "train_manifest and test_manifest" in capsys.readouterr().err
 
     def test_methods_in_summary(self, tmp_path):
         out = tmp_path / "run"

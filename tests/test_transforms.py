@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dealias.core import SeededRng, generate_phantom
+from dealias.core import SeededRng, generate_phantom, read_tensor
 from dealias.metrics import nmse
 from dealias.transforms import (
     ProjectionSet,
@@ -13,12 +13,9 @@ from dealias.transforms import (
     detector_bin_count,
     fbp_reconstruct,
     fft2,
-    load_mask,
-    load_projections,
     make_mask,
     radon_forward,
     save_mask,
-    save_projections,
     sparsify,
     zero_fill_invert,
 )
@@ -118,8 +115,8 @@ class TestMasks:
     def test_mask_roundtrip(self, tmp_path):
         mask = make_mask("radial", 64, 64, {"lines": 8})
         save_mask(tmp_path / "m.rdt", mask)
-        loaded = load_mask(tmp_path / "m.rdt")
-        assert np.array_equal(loaded.selected, mask.selected)
+        loaded = read_tensor(tmp_path / "m.rdt") > 0.5
+        assert np.array_equal(loaded, mask.selected)
 
 
 class TestZeroFill:
@@ -194,13 +191,6 @@ class TestRadon:
             radon_forward(np.zeros((32, 32)), np.array([0.0, 190.0]))
         with pytest.raises(ValueError):
             radon_forward(np.zeros((32, 32)), np.array([]))
-
-    def test_projection_roundtrip_files(self, tmp_path):
-        proj = radon_forward(generate_phantom("disks", 32), np.array([0.0, 45.5, 90.0]))
-        save_projections(tmp_path / "s.rdt", proj)
-        loaded = load_projections(tmp_path / "s.rdt")
-        assert np.array_equal(loaded.angles_deg, proj.angles_deg)
-        assert np.allclose(loaded.sinogram, proj.sinogram, atol=1e-6)
 
 
 class TestFbp:
