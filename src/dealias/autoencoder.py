@@ -10,8 +10,10 @@ variables B1/B2, and cycles four exact block solves:
     P3  decoder weights   -> ridge least squares against X_out - P + B1
     P4  latent code       -> coupled ridge solve of both penalty terms
 
-followed by a relaxation-variable update.  An l2 gradient-descent trainer
-with the same architecture serves as the non-robust baseline.
+followed by the relaxation update B <- R ("reflective") or B <- -R
+("additive"), where R are the penalized constraint residuals the objective
+has just used.  An l2 gradient-descent trainer with the same architecture
+serves as the non-robust baseline.
 """
 
 from __future__ import annotations
@@ -254,14 +256,21 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-def penalty_objective(model, tset, state) -> float:
-    """Relaxed training objective:
-
-    ||P||_1 + lam ||P - (X_out - W_dec Z) - B1||_F^2
-           + mu ||Z - phi(W_enc X_in) - B2||_F^2
-    """
+def constraint_residuals(model, tset, state):
+    """The relaxed coupling constraints, evaluated once per cycle:
+    R1 = P - (X_out - W_dec Z) - B1 and R2 = Z - phi(W_enc X_in) - B2."""
     r1 = state.p - (tset.x_out - model.w_dec @ state.z) - state.b1
     r2 = state.z - activate(model.w_enc @ tset.x_in, model.activation) - state.b2
+    return r1, r2
+
+
+def penalty_objective(model, tset, state, residuals=None) -> float:
+    """Relaxed training objective ||P||_1 + lam ||R1||_F^2 + mu ||R2||_F^2.
+
+    ``residuals`` may carry :func:`constraint_residuals` already evaluated
+    at the current state.
+    """
+    r1, r2 = residuals or constraint_residuals(model, tset, state)
     return (
         float(np.abs(state.p).sum())
         + state.lam * float((r1 * r1).sum())
@@ -324,43 +333,41 @@ def update_latent(model, tset, state, config):
     state.z = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs)
 
 
-def update_relaxation(model, tset, state, config):
-    """Relaxation-variable update closing one cycle.
-
-    "additive" is the conventional running-sum update
-    B <- B + (constraint residual); "reflective" replaces B with the
-    residual minus the previous B, flipping its sign each cycle.
+def update_relaxation(model, tset, state, config, residuals=None):
+    """Relaxation-variable update closing one cycle: B <- R ("reflective")
+    or B <- -R ("additive"), with R from :func:`constraint_residuals`.  For
+    c = R + B these are B <- c - B and the running sum B <- B - c, bit for
+    bit; ``0.0 - r`` (not ``-r``) keeps exact zeros positive, as B - c does.
     """
-    r1 = state.p - (tset.x_out - model.w_dec @ state.z)
-    r2 = state.z - activate(model.w_enc @ tset.x_in, model.activation)
+    r1, r2 = residuals or constraint_residuals(model, tset, state)
     if config.bregman_update == "reflective":
-        state.b1 = r1 - state.b1
-        state.b2 = r2 - state.b2
+        state.b1, state.b2 = r1, r2
     else:
-        state.b1 = state.b1 - r1
-        state.b2 = state.b2 - r2
+        state.b1, state.b2 = 0.0 - r1, 0.0 - r2
 
 
 def split_bregman_step(model, tset, state, config, input_gram=None):
     """One full training cycle: P1 -> P2 -> P3 -> P4, then relaxation update.
 
-    The relaxed objective is evaluated after P4 against the relaxation
-    variables the cycle was solved with, and appended to
-    ``state.objective_history`` before those variables are updated.
+    The constraint residuals are evaluated once, after P4, against the
+    relaxation variables the cycle was solved with; the objective computed
+    from them is appended to ``state.objective_history``, and the same
+    residuals then update those variables.
     Returns the mutated (model, state) pair.
     """
     update_sparse_residual(model, tset, state)
     update_encoder(model, tset, state, config, input_gram)
     update_decoder(model, tset, state, config)
     update_latent(model, tset, state, config)
-    objective = penalty_objective(model, tset, state)
+    residuals = constraint_residuals(model, tset, state)
+    objective = penalty_objective(model, tset, state, residuals)
     if not (
         np.isfinite(objective)
         and np.all(np.isfinite(model.w_enc))
         and np.all(np.isfinite(model.w_dec))
     ):
         raise NumericFailure(f"non-finite update at iteration {state.iteration}")
-    update_relaxation(model, tset, state, config)
+    update_relaxation(model, tset, state, config, residuals)
     state.iteration += 1
     state.objective_history.append(objective)
     return model, state
@@ -394,8 +401,6 @@ def train_robust(tset: TrainingSet, config: TrainConfig):
     five objective values or ``max_iter`` cycles are done.  Returns the
     trained model together with the final solver state.
     """
-    if tset.count < 1:
-        raise ValueError("training set is empty")
     d = tset.x_out.shape[0]
     model = _initial_weights(d, config)
     z = activate(model.w_enc @ tset.x_in, config.activation)
@@ -456,8 +461,6 @@ def train_l2_timed(tset: TrainingSet, config: TrainConfig, budget_seconds: float
 
 def _l2_descent(tset, config, stop):
     """The l2 trainers' loop; runs until ``stop(epochs, seconds)`` is true."""
-    if tset.count < 1:
-        raise ValueError("training set is empty")
     model = _initial_weights(tset.x_out.shape[0], config)
     initial = None
     epoch = 0

@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autoencoder import AutoencoderModel, TrainingSet
 from .core import SeededRng, ensure_image, read_tensor
@@ -163,16 +164,11 @@ def extract_patches(image, patch_size: int = 32, stride: int | None = None) -> P
             f"{patch_size} patches"
         )
     padded = np.pad(img, ((0, pad_bottom), (0, pad_right)), mode="reflect")
-    rows = (padded.shape[0] - patch_size) // stride + 1
-    cols = (padded.shape[1] - patch_size) // stride + 1
-    patches = np.empty((rows * cols, patch_size * patch_size))
-    for r in range(rows):
-        for c in range(cols):
-            block = padded[
-                r * stride : r * stride + patch_size,
-                c * stride : c * stride + patch_size,
-            ]
-            patches[r * cols + c] = block.ravel()
+    windows = sliding_window_view(padded, (patch_size, patch_size))[::stride, ::stride]
+    rows, cols = windows.shape[:2]
+    # copy first: a one-column grid would otherwise reshape to a
+    # read-only view whose overlapping rows share memory
+    patches = windows.copy().reshape(rows * cols, patch_size * patch_size)
     return PatchGrid(
         patch_size=patch_size,
         stride=stride,

@@ -209,13 +209,18 @@ def detector_bin_count(size: int) -> int:
     return bins if bins % 2 == 1 else bins + 1
 
 
-def _projection_geometry(size, bins):
+def _splats(size, angles_deg):
+    """Per angle: every pixel's lower detector bin i0 and the linear weight
+    w it puts on bin i0 + 1 (weight 1 - w stays on i0)."""
     half = (size - 1) / 2.0
     coords = np.arange(size) - half
     x = np.broadcast_to(coords[None, :], (size, size)).ravel()
     y = np.broadcast_to(coords[:, None], (size, size)).ravel()
-    offset = (bins - 1) / 2.0
-    return x, y, offset
+    offset = (detector_bin_count(size) - 1) / 2.0
+    for theta in np.radians(angles_deg):
+        u = x * math.cos(theta) + y * math.sin(theta) + offset
+        i0 = np.floor(u).astype(int)
+        yield i0, u - i0
 
 
 def radon_forward(image, angles_deg) -> ProjectionSet:
@@ -231,13 +236,9 @@ def radon_forward(image, angles_deg) -> ProjectionSet:
     angles = np.asarray(angles_deg, dtype=np.float64)
     size = img.shape[0]
     bins = detector_bin_count(size)
-    x, y, offset = _projection_geometry(size, bins)
     flat = img.ravel()
     sino = np.zeros((angles.size, bins))
-    for k, theta in enumerate(np.radians(angles)):
-        u = x * math.cos(theta) + y * math.sin(theta) + offset
-        i0 = np.floor(u).astype(int)
-        w = u - i0
+    for k, (i0, w) in enumerate(_splats(size, angles)):
         sino[k] = np.bincount(i0, weights=flat * (1.0 - w), minlength=bins)
         sino[k] += np.bincount(i0 + 1, weights=flat * w, minlength=bins)
     return ProjectionSet(angles_deg=angles, sinogram=sino)
@@ -250,13 +251,8 @@ def backproject(projections: ProjectionSet, size: int) -> np.ndarray:
         raise ValueError(
             f"detector geometry {bins} does not match image size {size}"
         )
-    x, y, offset = _projection_geometry(size, bins)
     out = np.zeros(size * size)
-    for k, theta in enumerate(np.radians(projections.angles_deg)):
-        u = x * math.cos(theta) + y * math.sin(theta) + offset
-        i0 = np.floor(u).astype(int)
-        w = u - i0
-        row = projections.sinogram[k]
+    for row, (i0, w) in zip(projections.sinogram, _splats(size, projections.angles_deg)):
         out += row[i0] * (1.0 - w) + row[i0 + 1] * w
     return out.reshape(size, size)
 

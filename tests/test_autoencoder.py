@@ -5,9 +5,12 @@ import pytest
 
 import dealias as d
 from dealias.autoencoder import (
+    BREGMAN_UPDATES,
+    LATENT_UPDATES,
     SplitBregmanState,
     _initial_weights,
     activate,
+    constraint_residuals,
     l2_loss_and_grads,
     penalty_objective,
     soft_threshold,
@@ -245,7 +248,71 @@ SPLIT_STEP_HISTORY_SEED0 = [
 ]
 
 
+def unshared_cycle(model, tset, state, config):
+    """One cycle as written before the residuals were shared: the objective
+    and the relaxation update (B <- c - B, B <- B - c) each evaluate the
+    constraints themselves."""
+    update_sparse_residual(model, tset, state)
+    update_encoder(model, tset, state, config)
+    update_decoder(model, tset, state, config)
+    update_latent(model, tset, state, config)
+    r1 = state.p - (tset.x_out - model.w_dec @ state.z) - state.b1
+    r2 = state.z - activate(model.w_enc @ tset.x_in, model.activation) - state.b2
+    state.objective_history.append(
+        float(np.abs(state.p).sum())
+        + state.lam * float((r1 * r1).sum())
+        + state.mu * float((r2 * r2).sum())
+    )
+    c1 = state.p - (tset.x_out - model.w_dec @ state.z)
+    c2 = state.z - activate(model.w_enc @ tset.x_in, model.activation)
+    if config.bregman_update == "reflective":
+        state.b1, state.b2 = c1 - state.b1, c2 - state.b2
+    else:
+        state.b1, state.b2 = state.b1 - c1, state.b2 - c2
+
+
+class TestRelaxationIdentity:
+    @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
+    @pytest.mark.parametrize("latent", LATENT_UPDATES)
+    def test_step_matches_unshared_cycle_bitwise(self, bregman, latent):
+        config = d.TrainConfig(
+            hidden=8, lam=1.0, mu=1.0, bregman_update=bregman, latent_update=latent
+        )
+        tset = toy_training_set(dim=16, count=16, seed=0)
+        runs = []
+        for step in (split_bregman_step, unshared_cycle):
+            model = _initial_weights(16, config)
+            state = fresh_state(model, tset, config)
+            for _ in range(10):
+                step(model, tset, state, config)
+            runs.append((model, state))
+        (model, state), (ref_model, ref_state) = runs
+        assert len(state.objective_history) == 10
+        assert state.objective_history == ref_state.objective_history
+        for name in ("p", "z", "b1", "b2"):
+            assert getattr(state, name).tobytes() == getattr(ref_state, name).tobytes()
+        assert model.w_enc.tobytes() == ref_model.w_enc.tobytes()
+        assert model.w_dec.tobytes() == ref_model.w_dec.tobytes()
+
+    @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
+    def test_anchored_b2_stays_positive_zero(self, bregman):
+        # P4 sets Z = phi(W_enc X_in) + B2, so R2 = 0 and B2 stays +0.0
+        config = d.TrainConfig(
+            hidden=8, lam=20.0, ridge_eps=1e-2, max_iter=30, rel_tol=0.0,
+            bregman_update=bregman, latent_update="anchored",
+        )
+        tset = toy_training_set(dim=16, count=64, seed=0)
+        model, state = d.train_robust(tset, config)
+        assert state.b2.tobytes() == np.zeros_like(state.b2).tobytes()
+        _, r2 = constraint_residuals(model, tset, state)
+        assert not r2.any()
+
+
 class TestTrainRobust:
+    def test_empty_training_set_rejected(self):
+        with pytest.raises(ValueError):
+            d.TrainingSet.from_arrays(np.zeros((4, 0)), np.zeros((4, 0)))
+
     def test_identity_task_reduces_l1_objective(self):
         tset = toy_training_set(dim=16, count=64, seed=0)
         config = d.TrainConfig(hidden=32, max_iter=40, rel_tol=0.0, seed=0)

@@ -147,6 +147,12 @@ class TestPatches:
             else:
                 assert seam <= seam_non_overlap
 
+    def test_one_column_grid_patches_do_not_alias(self):
+        grid = extract_patches(SeededRng(5).uniform(64 * 32).reshape(64, 32), 32, 16)
+        assert grid.cols == 1
+        grid.patches[0] = 0.0
+        assert grid.patches[1].all()
+
     def test_invalid_stride(self):
         with pytest.raises(ValueError):
             extract_patches(np.zeros((64, 64)), 32, 8)
