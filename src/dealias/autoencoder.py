@@ -37,6 +37,7 @@ from .core import (
 ACTIVATIONS = ("tanh", "sigmoid")
 BREGMAN_UPDATES = ("reflective", "additive")
 LATENT_UPDATES = ("coupled", "anchored")
+CLAMP_EPS = 1e-6  # margin that keeps the inverse activation finite
 
 
 # ---------------------------------------------------------------------------
@@ -44,12 +45,12 @@ LATENT_UPDATES = ("coupled", "anchored")
 # ---------------------------------------------------------------------------
 
 
-def activate(values, kind: str, direction: str = "forward", clamp_eps: float = 1e-6):
+def activate(values, kind: str, direction: str = "forward"):
     """Elementwise activation or its inverse.
 
-    The inverse is made total by clamping its argument into the open range
-    of the activation (tanh: [-1+eps, 1-eps]; sigmoid: [eps, 1-eps]), so
-    out-of-range targets produce large but finite pre-activations.
+    The inverse is made total by clamping its argument ``CLAMP_EPS`` inside
+    the activation's open range (tanh: [-1+eps, 1-eps]; sigmoid: [eps, 1-eps]),
+    so out-of-range targets produce large but finite pre-activations.
     """
     arr = np.asarray(values, dtype=np.float64)
     if kind not in ACTIVATIONS:
@@ -60,9 +61,9 @@ def activate(values, kind: str, direction: str = "forward", clamp_eps: float = 1
         return 1.0 / (1.0 + np.exp(-arr))
     if direction == "inverse":
         if kind == "tanh":
-            clipped = np.clip(arr, -1.0 + clamp_eps, 1.0 - clamp_eps)
+            clipped = np.clip(arr, -1.0 + CLAMP_EPS, 1.0 - CLAMP_EPS)
             return np.arctanh(clipped)
-        clipped = np.clip(arr, clamp_eps, 1.0 - clamp_eps)
+        clipped = np.clip(arr, CLAMP_EPS, 1.0 - CLAMP_EPS)
         return np.log(clipped / (1.0 - clipped))
     raise ValueError(f"unknown direction: {direction!r}")
 
@@ -173,14 +174,15 @@ class TrainingSet:
 
     ``x_in`` is (d+1) x N with a bottom row of ones (the bias input);
     ``x_out`` is d x N of clean targets aligned columnwise with ``x_in``.
+    Both are stored C-contiguous float64, whatever layout they arrive in.
     """
 
     x_in: np.ndarray
     x_out: np.ndarray
 
     def __post_init__(self):
-        self.x_in = np.asarray(self.x_in, dtype=np.float64)
-        self.x_out = np.asarray(self.x_out, dtype=np.float64)
+        self.x_in = np.ascontiguousarray(self.x_in, dtype=np.float64)
+        self.x_out = np.ascontiguousarray(self.x_out, dtype=np.float64)
         if self.x_in.ndim != 2 or self.x_out.ndim != 2:
             raise ValueError("training matrices must be 2-d")
         if self.x_in.shape[1] != self.x_out.shape[1] or self.x_in.shape[1] < 1:
@@ -229,7 +231,6 @@ class TrainConfig:
     rel_tol: float = 1e-4
     ridge_eps: float = 1e-6
     activation: str = "tanh"
-    clamp_eps: float = 1e-6
     bregman_update: str = "reflective"
     latent_update: str = "coupled"
     seed: int = 0
@@ -239,8 +240,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.hidden < 1 or self.max_iter < 1:
             raise ValueError("hidden and max_iter must be positive")
-        if min(self.lam, self.mu, self.ridge_eps, self.clamp_eps) <= 0:
-            raise ValueError("lam, mu, ridge_eps, clamp_eps must be positive")
+        if min(self.lam, self.mu, self.ridge_eps) <= 0:
+            raise ValueError("lam, mu, ridge_eps must be positive")
         if self.bregman_update not in BREGMAN_UPDATES:
             raise ValueError(f"unknown bregman_update: {self.bregman_update!r}")
         if self.latent_update not in LATENT_UPDATES:
@@ -295,7 +296,7 @@ def update_encoder(model, tset, state, config, input_gram=None):
     ``input_gram`` may carry the Cholesky factor of the (iteration
     invariant) input Gram matrix so the trainer can factor it once.
     """
-    target = activate(state.z - state.b2, model.activation, "inverse", config.clamp_eps)
+    target = activate(state.z - state.b2, model.activation, "inverse")
     if input_gram is None:
         input_gram = _gram_factor(tset.x_in, config.ridge_eps)
     model.w_enc = scipy.linalg.cho_solve(input_gram, tset.x_in @ target.T).T
@@ -431,10 +432,9 @@ def l2_loss_and_grads(model, tset):
     z = activate(h, model.activation)
     residual = model.w_dec @ z - tset.x_out
     loss = float((residual * residual).sum())
-    g_dec = 2.0 * residual @ z.T
-    g_hidden = (model.w_dec.T @ (2.0 * residual)) * _activation_derivative(
-        z, model.activation
-    )
+    g_out = 2.0 * residual
+    g_dec = g_out @ z.T
+    g_hidden = (model.w_dec.T @ g_out) * _activation_derivative(z, model.activation)
     g_enc = g_hidden @ tset.x_in.T
     return loss, g_enc, g_dec
 

@@ -51,7 +51,6 @@ DEFAULTS = {
     "rel_tol": 1e-4,
     "ridge_eps": 1e-6,
     "activation": "tanh",
-    "clamp_eps": 1e-6,
     "bregman_update": "reflective",
     "latent_update": "coupled",
     "train_seed": 0,
@@ -178,7 +177,6 @@ def train_config(run) -> TrainConfig:
         rel_tol=run["rel_tol"],
         ridge_eps=run["ridge_eps"],
         activation=run["activation"],
-        clamp_eps=run["clamp_eps"],
         bregman_update=run["bregman_update"],
         latent_update=run["latent_update"],
         seed=run["train_seed"],

@@ -20,7 +20,13 @@ from .autoencoder import AutoencoderModel, TrainingSet
 from .core import SeededRng, ensure_image, read_tensor
 from .transforms import fbp_reconstruct, fft2, make_mask, radon_forward, zero_fill_invert
 
-MODALITIES = ("mri", "ct", "impulse")
+# the DegradationSpec fields each modality sets; all others stay None
+PARAMETER_GROUPS = {
+    "mri": ("mask_kind", "mask_params"),
+    "ct": ("ct_spacing_deg",),
+    "impulse": ("impulse_fraction",),
+}
+MODALITIES = tuple(PARAMETER_GROUPS)
 
 # impulse corruption draws fresh pixel locations per corpus entry; test-split
 # entries are offset so they never reuse training noise patterns
@@ -46,21 +52,9 @@ class DegradationSpec:
     def __post_init__(self):
         if self.modality not in MODALITIES:
             raise ValueError(f"unknown modality: {self.modality!r}")
-        groups = {
-            "mri": self.mask_kind is not None and self.mask_params is not None,
-            "ct": self.ct_spacing_deg is not None,
-            "impulse": self.impulse_fraction is not None,
-        }
-        others = {
-            "mri": self.ct_spacing_deg is None and self.impulse_fraction is None,
-            "ct": self.mask_kind is None
-            and self.mask_params is None
-            and self.impulse_fraction is None,
-            "impulse": self.mask_kind is None
-            and self.mask_params is None
-            and self.ct_spacing_deg is None,
-        }
-        if not (groups[self.modality] and others[self.modality]):
+        names = sum(PARAMETER_GROUPS.values(), ())
+        populated = {name for name in names if getattr(self, name) is not None}
+        if populated != set(PARAMETER_GROUPS[self.modality]):
             raise ValueError(
                 f"exactly the {self.modality!r} parameter group must be populated"
             )
@@ -139,6 +133,11 @@ def _padded_length(n, patch, stride):
     return target + (stride - remainder if remainder else 0)
 
 
+def _patch_windows(arr, patch_size, stride):
+    """The (rows, cols, patch_size, patch_size) view of every patch window."""
+    return sliding_window_view(arr, (patch_size, patch_size))[::stride, ::stride]
+
+
 def extract_patches(image, patch_size: int = 32, stride: int | None = None) -> PatchGrid:
     """Cut an image into flattened square patches in row-major order.
 
@@ -164,7 +163,7 @@ def extract_patches(image, patch_size: int = 32, stride: int | None = None) -> P
             f"{patch_size} patches"
         )
     padded = np.pad(img, ((0, pad_bottom), (0, pad_right)), mode="reflect")
-    windows = sliding_window_view(padded, (patch_size, patch_size))[::stride, ::stride]
+    windows = _patch_windows(padded, patch_size, stride)
     rows, cols = windows.shape[:2]
     # copy first: a one-column grid would otherwise reshape to a
     # read-only view whose overlapping rows share memory
@@ -183,29 +182,28 @@ def extract_patches(image, patch_size: int = 32, stride: int | None = None) -> P
 def reassemble_patches(grid: PatchGrid, original_shape) -> np.ndarray:
     """Rebuild an image from its patch grid and crop the padding away.
 
-    Non-overlap mode places patches back directly; overlap mode averages
-    every pixel over all covering patches (the seam-smoothing substitute
-    for a dedicated deblocking pass), accumulated in fixed row-major
-    order so the result is deterministic.
+    Every pixel is the mean of the patches that cover it: one patch in
+    non-overlap mode, up to four in overlap mode (the seam-smoothing
+    substitute for a dedicated deblocking pass).  The patches scatter back
+    through the same windows :func:`extract_patches` cuts them with, by
+    ``np.bincount``, which adds weights in input order: each pixel sums its
+    covering patches from 0.0 in row-major patch order, so the result is
+    deterministic and independent of the patch matrix's memory layout.
     """
     h, w = original_shape
     ps = grid.patch_size
     if grid.patches.shape != (grid.rows * grid.cols, ps * ps):
         raise ValueError("patch matrix does not match grid metadata")
-    if grid.padded_height != h + grid.pad_bottom or grid.padded_width != w + grid.pad_right:
+    ph, pw = grid.padded_height, grid.padded_width
+    if ph != h + grid.pad_bottom or pw != w + grid.pad_right:
         raise ValueError(
             f"grid metadata does not cover original shape {original_shape}"
         )
-    acc = np.zeros((grid.padded_height, grid.padded_width))
-    cover = np.zeros_like(acc)
-    for r in range(grid.rows):
-        for c in range(grid.cols):
-            block = grid.patches[r * grid.cols + c].reshape(ps, ps)
-            acc[r * grid.stride : r * grid.stride + ps,
-                c * grid.stride : c * grid.stride + ps] += block
-            cover[r * grid.stride : r * grid.stride + ps,
-                  c * grid.stride : c * grid.stride + ps] += 1.0
-    return (acc / cover)[:h, :w]
+    pixels = np.arange(ph * pw).reshape(ph, pw)
+    index = _patch_windows(pixels, ps, grid.stride).ravel()
+    acc = np.bincount(index, weights=grid.patches.ravel(), minlength=ph * pw)
+    cover = np.bincount(index, minlength=ph * pw)
+    return (acc / cover).reshape(ph, pw)[:h, :w]
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,18 @@ class TestRidgeSolve:
         assert np.allclose(x, expected, atol=1e-6)
 
 
+class TestTrainingSet:
+    def test_transposed_arrays_stored_c_contiguous(self):
+        a = SeededRng(0).normal((7, 5))
+        b = SeededRng(1).normal((7, 5))
+        tset = d.TrainingSet.from_arrays(a.T, b.T)
+        assert tset.x_in.flags.c_contiguous and tset.x_out.flags.c_contiguous
+        assert tset.x_in.dtype == tset.x_out.dtype == np.float64
+        assert np.array_equal(tset.inputs, a.T)
+        assert np.array_equal(tset.x_out, b.T)
+        assert np.all(tset.x_in[-1] == 1.0)
+
+
 class TestSplitBregmanStep:
     def _setup(self, **overrides):
         settings = dict(hidden=8, lam=1.0, mu=1.0, max_iter=20, rel_tol=0.0, seed=0)

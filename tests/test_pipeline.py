@@ -5,7 +5,7 @@ import pytest
 
 import dealias as d
 from dealias.autoencoder import _initial_weights
-from dealias.core import SeededRng, write_tensor
+from dealias.core import SeededRng, read_tensor, write_tensor
 from dealias.pipeline import (
     DegradationSpec,
     build_training_set,
@@ -221,6 +221,16 @@ class TestBuildTrainingSet:
         b = build_training_set(entries, mri_spec(seed=3), 32)
         assert np.array_equal(a.x_in, b.x_in)
         assert np.array_equal(a.x_out, b.x_out)
+
+    def test_matrices_are_c_contiguous(self, tmp_path):
+        entries = self._corpus(tmp_path)
+        tset = build_training_set(entries, mri_spec(), 32)
+        clean = [read_tensor(path) for path, _ in entries]
+        targets = [extract_patches(img, 32).patches for img in clean]
+        inputs = [extract_patches(degrade(img, mri_spec()), 32).patches for img in clean]
+        assert tset.x_in.flags.c_contiguous and tset.x_out.flags.c_contiguous
+        assert np.array_equal(tset.inputs, np.vstack(inputs).T)
+        assert np.array_equal(tset.x_out, np.vstack(targets).T)
 
     def test_overlap_triples_samples(self, tmp_path):
         entries = self._corpus(tmp_path, count=1)

@@ -33,6 +33,42 @@ def test_extract_then_reassemble_is_identity(height, width, patch_size, overlap,
         assert np.array_equal(back, img)
 
 
+def loop_reassemble(grid, original_shape):
+    """Reference reassembly: a row-major double loop of slice adds."""
+    h, w = original_shape
+    ps, s = grid.patch_size, grid.stride
+    acc = np.zeros((grid.padded_height, grid.padded_width))
+    cover = np.zeros_like(acc)
+    for r in range(grid.rows):
+        for c in range(grid.cols):
+            block = grid.patches[r * grid.cols + c].reshape(ps, ps)
+            acc[r * s : r * s + ps, c * s : c * s + ps] += block
+            cover[r * s : r * s + ps, c * s : c * s + ps] += 1.0
+    return (acc / cover)[:h, :w]
+
+
+@given(
+    height=st.integers(4, 128),
+    width=st.integers(4, 128),
+    patch_size=st.sampled_from([4, 6, 8, 16, 32]),
+    overlap=st.booleans(),
+    fortran=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_reassemble_matches_row_major_loop(height, width, patch_size, overlap, fortran, seed):
+    # pins the accumulation order: every pixel sums its covering patches
+    # from 0.0 in row-major patch order, whatever the patch matrix layout
+    stride = patch_size // 2 if overlap else patch_size
+    try:
+        grid = extract_patches(np.zeros((height, width)), patch_size, stride)
+    except ValueError:
+        assume(False)  # too small to reflect-pad
+    patches = SeededRng(seed).normal(grid.patches.shape)
+    grid = grid.with_patches(np.asfortranarray(patches) if fortran else patches)
+    expected = loop_reassemble(grid, (height, width))
+    assert reassemble_patches(grid, (height, width)).tobytes() == expected.tobytes()
+
+
 @given(
     size=st.integers(2, 48),
     angles=st.lists(
