@@ -11,13 +11,14 @@ variables B1/B2, and cycles four exact block solves:
     P4  latent code       -> coupled ridge solve of both penalty terms
 
 followed by the relaxation update B <- R ("reflective") or B <- -R
-("additive"), where R are the penalized constraint residuals the objective
-has just used.  An l2 gradient-descent trainer with the same architecture
-serves as the non-robust baseline.
+("additive"), where R = C - B are the penalized (relaxed) residuals of the
+two coupling constraints.  An l2 gradient-descent trainer with the same
+architecture serves as the non-robust baseline.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -210,7 +211,26 @@ class TrainingSet:
 
 @dataclass
 class SplitBregmanState:
-    """Auxiliary and relaxation variables of the robust trainer."""
+    """Auxiliary and relaxation variables of the robust trainer.
+
+    The trainer owns these arrays and updates P, B1 and B2 in place, so a
+    caller that changes one replaces it rather than writing into it.  The
+    state also keeps two products of the cycle, each with the arrays it
+    was computed from, and a block reuses a product only while exactly
+    those arrays (by identity) are current:
+
+    - ``gap`` = X_out - W_dec Z, computed by the residual pass and reused
+      by the next cycle's P1;
+    - ``encoded`` = phi(W_enc X_in), computed by P4 and reused by the
+      residual pass.
+
+    ``work`` is one d x N scratch array shared by the blocks.  From P3 to
+    a coupled P4 it holds the decoder target X_out - P + B1; a block that
+    writes the work array, P or B1 otherwise drops that entry of
+    ``sources``.  ``p_l1`` is ||P||_1, kept by P1.  ``gap`` and ``work``
+    are allocated on first use, and :func:`train_robust` lets them go
+    when it returns.
+    """
 
     p: np.ndarray
     z: np.ndarray
@@ -220,6 +240,49 @@ class SplitBregmanState:
     mu: float
     iteration: int = 0
     objective_history: list = field(default_factory=list)
+    gap: np.ndarray | None = field(default=None, repr=False)
+    encoded: np.ndarray | None = field(default=None, repr=False)
+    work: np.ndarray | None = field(default=None, repr=False)
+    p_l1: float = field(default=0.0, repr=False)
+    sources: dict = field(default_factory=dict, repr=False)
+
+    def computed_from(self, name, *arrays) -> bool:
+        """True while the kept value ``name`` comes from exactly ``arrays``."""
+        had = self.sources.get(name, ())
+        return len(had) == len(arrays) and all(map(operator.is_, had, arrays))
+
+    def scratch(self):
+        """The work array, for a block about to overwrite it."""
+        if self.work is None:
+            self.work = np.empty_like(self.p)
+        self.sources.pop("work", None)
+        return self.work
+
+    def gap_for(self, model, tset):
+        """X_out - W_dec Z; W_dec Z is formed in the work array."""
+        sources = (tset.x_out, model.w_dec, self.z)
+        if not self.computed_from("gap", *sources):
+            product = np.matmul(model.w_dec, self.z, out=self.scratch())
+            self.gap = np.subtract(tset.x_out, product, out=self.gap)
+            self.sources["gap"] = sources
+        return self.gap
+
+    def encoded_for(self, model, tset):
+        """phi(W_enc X_in)."""
+        sources = (tset.x_in, model.w_enc)
+        if not self.computed_from("encoded", *sources):
+            self.encoded = activate(model.w_enc @ tset.x_in, model.activation)
+            self.sources["encoded"] = sources
+        return self.encoded
+
+    def decoder_target(self, tset):
+        """X_out - P + B1, built in the work array unless it is still there."""
+        sources = (tset.x_out, self.p, self.b1)
+        if not self.computed_from("work", *sources):
+            np.subtract(tset.x_out, self.p, out=self.scratch())
+            self.work += self.b1
+            self.sources["work"] = sources
+        return self.work
 
 
 @dataclass
@@ -258,25 +321,35 @@ class TrainConfig:
 
 
 def constraint_residuals(model, tset, state):
-    """The relaxed coupling constraints, evaluated once per cycle:
-    R1 = P - (X_out - W_dec Z) - B1 and R2 = Z - phi(W_enc X_in) - B2."""
-    r1 = state.p - (tset.x_out - model.w_dec @ state.z) - state.b1
-    r2 = state.z - activate(model.w_enc @ tset.x_in, model.activation) - state.b2
-    return r1, r2
+    """The residual pass, once per cycle: C1 = P - (X_out - W_dec Z) and
+    C2 = Z - phi(W_enc X_in), the residuals of the two coupling
+    constraints.  The penalties act on the relaxed residuals R = C - B.
+
+    Both products come from the state and are recomputed only if stale.
+    C1 is written into the work array, so it holds until the next block
+    writes there.
+    """
+    gap = state.gap_for(model, tset)
+    encoded = state.encoded_for(model, tset)
+    return np.subtract(state.p, gap, out=state.scratch()), state.z - encoded
 
 
 def penalty_objective(model, tset, state, residuals=None) -> float:
     """Relaxed training objective ||P||_1 + lam ||R1||_F^2 + mu ||R2||_F^2.
 
-    ``residuals`` may carry :func:`constraint_residuals` already evaluated
-    at the current state.
+    ``residuals`` may carry (R1, R2) already evaluated at the current
+    state, or their negatives: right after the relaxation update B is one
+    or the other.
     """
-    r1, r2 = residuals or constraint_residuals(model, tset, state)
-    return (
-        float(np.abs(state.p).sum())
-        + state.lam * float((r1 * r1).sum())
-        + state.mu * float((r2 * r2).sum())
-    )
+    if residuals is None:
+        c1, c2 = constraint_residuals(model, tset, state)
+        residuals = np.subtract(c1, state.b1, out=c1), c2 - state.b2
+    r1, r2 = residuals
+    r1_squared = float(np.multiply(r1, r1, out=state.scratch()).sum())
+    if not state.computed_from("p_l1", state.p):
+        state.p_l1 = float(np.abs(state.p, out=state.scratch()).sum())
+        state.sources["p_l1"] = (state.p,)
+    return state.p_l1 + state.lam * r1_squared + state.mu * float((r2 * r2).sum())
 
 
 def objective_l1(model, tset) -> float:
@@ -285,9 +358,19 @@ def objective_l1(model, tset) -> float:
 
 
 def update_sparse_residual(model, tset, state):
-    """P1: exact prox step, threshold 1/(2 lam)."""
-    v = (tset.x_out - model.w_dec @ state.z) + state.b1
-    state.p = soft_threshold(v, 1.0 / (2.0 * state.lam))
+    """P1: exact prox step, soft thresholding at tau = 1/(2 lam), into P.
+
+    v = gap + B1 is formed in the work array and max(|v| - tau, 0) in P;
+    the sum of the latter is ||P||_1 exactly, so it is kept before the
+    sign of v is applied.
+    """
+    v = np.add(state.gap_for(model, tset), state.b1, out=state.scratch())
+    shrunk = np.abs(v, out=state.p)
+    shrunk -= 1.0 / (2.0 * state.lam)
+    np.maximum(shrunk, 0.0, out=shrunk)
+    state.p_l1 = float(shrunk.sum())
+    state.sources["p_l1"] = (state.p,)
+    np.multiply(np.sign(v, out=v), shrunk, out=state.p)
 
 
 def update_encoder(model, tset, state, config, input_gram=None):
@@ -303,10 +386,10 @@ def update_encoder(model, tset, state, config, input_gram=None):
 
 
 def update_decoder(model, tset, state, config):
-    """P3: refit the decoder against the residual-corrected targets."""
-    target = tset.x_out - state.p + state.b1
+    """P3: refit the decoder against the residual-corrected targets
+    X_out - P + B1, left in the work array for a coupled P4."""
     model.w_dec = solve_ridge_least_squares(
-        state.z, target, config.ridge_eps, side="left"
+        state.z, state.decoder_target(tset), config.ridge_eps, side="left"
     )
 
 
@@ -321,54 +404,56 @@ def update_latent(model, tset, state, config):
     exact block minimizer of the relaxed objective over Z.  The
     "anchored" mode sets Z = N, the closed form of the second term
     alone; it freezes the latent code to the encoder's output, which is
-    markedly more stable when samples are scarce.
+    markedly more stable when samples are scarce.  Both modes compute
+    phi(W_enc X_in) through the state, where the residual pass finds it.
     """
-    anchor = activate(model.w_enc @ tset.x_in, model.activation) + state.b2
+    anchor = state.encoded_for(model, tset) + state.b2
     if config.latent_update == "anchored":
         state.z = anchor
         return
-    target = tset.x_out - state.p + state.b1
     gram = state.lam * (model.w_dec.T @ model.w_dec)
     gram[np.diag_indices_from(gram)] += state.mu + config.ridge_eps
-    rhs = state.lam * (model.w_dec.T @ target) + state.mu * anchor
+    rhs = state.lam * (model.w_dec.T @ state.decoder_target(tset)) + state.mu * anchor
     state.z = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs)
 
 
 def update_relaxation(model, tset, state, config, residuals=None):
     """Relaxation-variable update closing one cycle: B <- R ("reflective")
-    or B <- -R ("additive"), with R from :func:`constraint_residuals`.  For
-    c = R + B these are B <- c - B and the running sum B <- B - c, bit for
-    bit; ``0.0 - r`` (not ``-r``) keeps exact zeros positive, as B - c does.
+    or B <- -R ("additive").  With R = C - B from
+    :func:`constraint_residuals` these are B <- C - B and the running sum
+    B <- B - C, written into B in place; B - C (not -R) keeps exact zeros
+    positive.  ``residuals`` may carry C already evaluated.
     """
-    r1, r2 = residuals or constraint_residuals(model, tset, state)
-    if config.bregman_update == "reflective":
-        state.b1, state.b2 = r1, r2
-    else:
-        state.b1, state.b2 = 0.0 - r1, 0.0 - r2
+    c1, c2 = residuals or constraint_residuals(model, tset, state)
+    state.sources.pop("work", None)
+    for c, b in ((c1, state.b1), (c2, state.b2)):
+        if config.bregman_update == "reflective":
+            np.subtract(c, b, out=b)
+        else:
+            np.subtract(b, c, out=b)
 
 
 def split_bregman_step(model, tset, state, config, input_gram=None):
     """One full training cycle: P1 -> P2 -> P3 -> P4, then relaxation update.
 
-    The constraint residuals are evaluated once, after P4, against the
-    relaxation variables the cycle was solved with; the objective computed
-    from them is appended to ``state.objective_history``, and the same
-    residuals then update those variables.
+    The constraint residuals are evaluated once, after P4, and update the
+    relaxation variables the cycle was solved with.  B is then R or -R, so
+    the objective appended to ``state.objective_history`` takes its
+    penalty terms from B.
     Returns the mutated (model, state) pair.
     """
     update_sparse_residual(model, tset, state)
     update_encoder(model, tset, state, config, input_gram)
     update_decoder(model, tset, state, config)
     update_latent(model, tset, state, config)
-    residuals = constraint_residuals(model, tset, state)
-    objective = penalty_objective(model, tset, state, residuals)
+    update_relaxation(model, tset, state, config, constraint_residuals(model, tset, state))
+    objective = penalty_objective(model, tset, state, (state.b1, state.b2))
     if not (
         np.isfinite(objective)
         and np.all(np.isfinite(model.w_enc))
         and np.all(np.isfinite(model.w_dec))
     ):
         raise NumericFailure(f"non-finite update at iteration {state.iteration}")
-    update_relaxation(model, tset, state, config, residuals)
     state.iteration += 1
     state.objective_history.append(objective)
     return model, state
@@ -406,18 +491,21 @@ def train_robust(tset: TrainingSet, config: TrainConfig):
     model = _initial_weights(d, config)
     z = activate(model.w_enc @ tset.x_in, config.activation)
     state = SplitBregmanState(
-        p=tset.x_out - model.w_dec @ z,
+        p=np.empty_like(tset.x_out),
         z=z,
         b1=np.zeros_like(tset.x_out),
         b2=np.zeros_like(z),
         lam=config.lam,
         mu=config.mu,
     )
+    np.copyto(state.p, state.gap_for(model, tset))
     input_gram = _gram_factor(tset.x_in, config.ridge_eps)
     for _ in range(config.max_iter):
         split_bregman_step(model, tset, state, config, input_gram)
         if _window_converged(state.objective_history, config.rel_tol):
             break
+    state.gap = state.work = None  # the d x N scratch stays with the trainer
+    state.sources.clear()
     return model, state
 
 

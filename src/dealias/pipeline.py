@@ -272,9 +272,17 @@ def build_training_set(
             degraded = ensure_image(read_tensor(degraded_path))
         targets.append(extract_patches(clean, patch_size, stride).patches)
         inputs.append(extract_patches(degraded, patch_size, stride).patches)
-    x_out = np.vstack(targets).T
-    x_in = np.vstack(inputs).T
-    return TrainingSet.from_arrays(x_in, x_out)
+    # filled in place: stacking N x d rows and transposing them costs a strided copy
+    dim = patch_size * patch_size
+    x_in = np.empty((dim + 1, sum(len(block) for block in inputs)))
+    x_in[-1] = 1.0
+    x_out = np.empty((dim, sum(len(block) for block in targets)))
+    for matrix, blocks in ((x_in, inputs), (x_out, targets)):
+        start = 0
+        for block in blocks:
+            matrix[:dim, start : start + len(block)] = block.T
+            start += len(block)
+    return TrainingSet(x_in, x_out)
 
 
 def reconstruct_image(

@@ -1,5 +1,7 @@
 """Robust trainer internals: activations, exact block solves, training loops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from dealias.autoencoder import (
     BREGMAN_UPDATES,
     LATENT_UPDATES,
     SplitBregmanState,
+    _gram_factor,
     _initial_weights,
     activate,
     constraint_residuals,
@@ -19,6 +22,7 @@ from dealias.autoencoder import (
     update_decoder,
     update_encoder,
     update_latent,
+    update_relaxation,
     update_sparse_residual,
 )
 from dealias.core import NumericFailure, SeededRng
@@ -283,17 +287,30 @@ def unshared_cycle(model, tset, state, config):
         state.b1, state.b2 = state.b1 - c1, state.b2 - c2
 
 
+# (dim, count, hidden) of the unshared-cycle comparison; the first keeps the
+# original case ids, the second (hidden < dim, count >> dim) gets a suffix
+CYCLE_SHAPES = {"": (16, 16, 8), "-d64": (64, 700, 32)}
+
+
 class TestRelaxationIdentity:
-    @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
-    @pytest.mark.parametrize("latent", LATENT_UPDATES)
-    def test_step_matches_unshared_cycle_bitwise(self, bregman, latent):
+    @pytest.mark.parametrize(
+        "latent, bregman, shape",
+        [
+            pytest.param(latent, bregman, shape, id=f"{latent}-{bregman}{suffix}")
+            for suffix, shape in CYCLE_SHAPES.items()
+            for latent in LATENT_UPDATES
+            for bregman in BREGMAN_UPDATES
+        ],
+    )
+    def test_step_matches_unshared_cycle_bitwise(self, bregman, latent, shape):
+        dim, count, hidden = shape
         config = d.TrainConfig(
-            hidden=8, lam=1.0, mu=1.0, bregman_update=bregman, latent_update=latent
+            hidden=hidden, lam=1.0, mu=1.0, bregman_update=bregman, latent_update=latent
         )
-        tset = toy_training_set(dim=16, count=16, seed=0)
+        tset = toy_training_set(dim=dim, count=count, seed=0)
         runs = []
         for step in (split_bregman_step, unshared_cycle):
-            model = _initial_weights(16, config)
+            model = _initial_weights(dim, config)
             state = fresh_state(model, tset, config)
             for _ in range(10):
                 step(model, tset, state, config)
@@ -318,6 +335,115 @@ class TestRelaxationIdentity:
         assert state.b2.tobytes() == np.zeros_like(state.b2).tobytes()
         _, r2 = constraint_residuals(model, tset, state)
         assert not r2.any()
+
+
+VARIANTS = pytest.mark.parametrize(
+    "latent, bregman",
+    [(latent, bregman) for latent in LATENT_UPDATES for bregman in BREGMAN_UPDATES],
+)
+
+
+def state_bytes(model, state):
+    arrays = (model.w_enc, model.w_dec, state.p, state.z, state.b1, state.b2)
+    return [a.tobytes() for a in arrays]
+
+
+class TestCycleBuffers:
+    """The cycle works in the state's own arrays and reuses kept products
+    only while the arrays they came from are current."""
+
+    @VARIANTS
+    def test_cycle_allocates_no_dxn_temporaries(self, latent, bregman):
+        dim, count = 256, 4000
+        config = d.TrainConfig(
+            hidden=32, lam=20.0, ridge_eps=1e-2, bregman_update=bregman, latent_update=latent
+        )
+        tset = toy_training_set(dim=dim, count=count, seed=0)
+        model = _initial_weights(dim, config)
+        state = fresh_state(model, tset, config)
+        gram = _gram_factor(tset.x_in, config.ridge_eps)
+        split_bregman_step(model, tset, state, config, gram)  # warm-up
+        tracemalloc.start()
+        try:
+            split_bregman_step(model, tset, state, config, gram)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dim * count * 8
+
+    @VARIANTS
+    def test_blocks_one_at_a_time_match_cycle(self, latent, bregman):
+        # criterion 2's sequence: the objective between blocks (here twice,
+        # so the second call finds the products it kept) uses the work
+        # array and must not disturb the cycle
+        config = d.TrainConfig(
+            hidden=8, lam=1.0, mu=1.0, bregman_update=bregman, latent_update=latent
+        )
+        tset = toy_training_set(dim=16, count=24, seed=2)
+        runs = []
+        for one_at_a_time in (False, True):
+            model = _initial_weights(16, config)
+            state = fresh_state(model, tset, config)
+            objectives = []
+            for _ in range(6):
+                if not one_at_a_time:
+                    split_bregman_step(model, tset, state, config)
+                    continue
+                for block in (update_sparse_residual, update_encoder, update_decoder, update_latent):
+                    first = penalty_objective(model, tset, state)
+                    assert penalty_objective(model, tset, state) == first
+                    if block is update_sparse_residual:
+                        block(model, tset, state)
+                    else:
+                        block(model, tset, state, config)
+                objectives.append(penalty_objective(model, tset, state))
+                update_relaxation(model, tset, state, config)
+            runs.append((model, state, objectives))
+        (model, state, _), (ref_model, ref_state, objectives) = runs
+        assert state.objective_history == objectives
+        assert state_bytes(model, state) == state_bytes(ref_model, ref_state)
+
+    @pytest.mark.parametrize("replaced", ["w_dec", "w_enc", "z"])
+    @VARIANTS
+    def test_replaced_array_matches_fresh_state(self, latent, bregman, replaced):
+        config = d.TrainConfig(
+            hidden=8, lam=1.0, mu=1.0, bregman_update=bregman, latent_update=latent
+        )
+        tset = toy_training_set(dim=16, count=24, seed=3)
+        model = _initial_weights(16, config)
+        state = fresh_state(model, tset, config)
+        for _ in range(3):
+            split_bregman_step(model, tset, state, config)
+        owner = state if replaced == "z" else model
+        setattr(owner, replaced, getattr(owner, replaced) * 1.01)
+        fresh_model = d.AutoencoderModel(model.w_enc.copy(), model.w_dec.copy(), model.activation)
+        fresh = SplitBregmanState(
+            p=state.p.copy(), z=state.z.copy(), b1=state.b1.copy(), b2=state.b2.copy(),
+            lam=state.lam, mu=state.mu,
+        )
+        assert penalty_objective(model, tset, state) == penalty_objective(
+            fresh_model, tset, fresh
+        )
+        for _ in range(2):
+            split_bregman_step(model, tset, state, config)
+            split_bregman_step(fresh_model, tset, fresh, config)
+        assert state.objective_history[-2:] == fresh.objective_history
+        assert state_bytes(model, state) == state_bytes(fresh_model, fresh)
+
+    @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
+    def test_non_finite_objective_raises_at_its_iteration(self, bregman):
+        # lam = inf leaves every anchored block finite (tau = 0), not the penalty
+        config = d.TrainConfig(
+            hidden=8, lam=1.0, mu=1.0, bregman_update=bregman, latent_update="anchored"
+        )
+        tset = toy_training_set(dim=16, count=24, seed=4)
+        model = _initial_weights(16, config)
+        state = fresh_state(model, tset, config)
+        for _ in range(2):
+            split_bregman_step(model, tset, state, config)
+        state.lam = np.inf
+        with pytest.raises(NumericFailure, match="at iteration 2$"):
+            split_bregman_step(model, tset, state, config)
 
 
 class TestTrainRobust:

@@ -1,4 +1,5 @@
-"""Invariants of the patch and projection kernels over randomized shapes."""
+"""Invariants of the patch, projection, Fourier and sparsifying kernels over
+randomized shapes."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,16 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dealias.core import SeededRng
+from dealias.cs import masked_fourier_operator
 from dealias.pipeline import extract_patches, reassemble_patches
-from dealias.transforms import ProjectionSet, backproject, radon_forward
+from dealias.transforms import (
+    ProjectionSet,
+    SamplingMask,
+    SparsifyingTransform,
+    backproject,
+    radon_forward,
+    sparsify,
+)
 
 
 @given(
@@ -84,3 +93,45 @@ def test_radon_backproject_adjoint(size, angles, seed):
     atv = backproject(ProjectionSet(angles, v), size)
     gap = abs(float((au * v).sum()) - float((u * atv).sum()))
     assert gap <= 1e-10 * np.linalg.norm(au) * np.linalg.norm(v)
+
+
+@given(
+    log_height=st.integers(1, 6),
+    log_width=st.integers(1, 6),
+    levels=st.integers(1, 6),
+    fraction=st.floats(0.0, 1.0),
+    dct=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_masked_fourier_adjoint(log_height, log_width, levels, fraction, dct, seed):
+    # Re<A u, v> = <u, A* v> for the selected Fourier coefficients of the
+    # synthesized image, over power-of-two grids and random mask draws
+    height, width = 1 << log_height, 1 << log_width
+    rng = SeededRng(seed)
+    selected = (rng.uniform(height * width) < fraction).reshape(height, width)
+    selected[0, 0] = True  # DC is always sampled
+    levels = min(levels, log_height, log_width)
+    transform = SparsifyingTransform("dct") if dct else SparsifyingTransform("haar-wavelet", levels)
+    op = masked_fourier_operator(SamplingMask("random", selected), transform)
+    u = rng.normal(op.in_dim)
+    v = rng.normal(op.out_dim) + 1j * rng.normal(op.out_dim)
+    au = op.apply(u)
+    gap = abs(float(np.real(np.vdot(v, au))) - float(u @ op.adjoint(v)))
+    assert gap <= 1e-12 * np.linalg.norm(au) * np.linalg.norm(v)
+
+
+@given(
+    levels=st.integers(1, 4),
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 6),
+    dct=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_sparsifying_transform_is_orthonormal(levels, rows, cols, dct, seed):
+    # Haar needs both sides divisible by 2**levels; DCT takes the same shapes
+    shape = (rows << levels, cols << levels)
+    transform = SparsifyingTransform("dct") if dct else SparsifyingTransform("haar-wavelet", levels)
+    x = SeededRng(seed).normal(shape)
+    fx = sparsify(x, transform, "forward")
+    assert abs(np.linalg.norm(fx) - np.linalg.norm(x)) <= 1e-12 * np.linalg.norm(x)
+    assert np.abs(sparsify(fx, transform, "inverse") - x).max() <= 1e-12
