@@ -6,14 +6,17 @@ relaxes the two coupling constraints with quadratic penalties and relaxation
 variables B1/B2, and cycles four exact block solves:
 
     P1  sparse residual   -> soft thresholding at 1/(2 lambda)
-    P2  encoder weights   -> ridge least squares against phi^-1(Z - B2)
+    P2  encoder weights   -> ridge least squares against phi^-1(Z - B2);
+                             in anchored runs W_enc G (G + eps I)^-1, G = X_in X_in^T
     P3  decoder weights   -> ridge least squares against X_out - P + B1
     P4  latent code       -> coupled ridge solve of both penalty terms
 
 followed by the relaxation update B <- R ("reflective") or B <- -R
 ("additive"), where R = C - B are the penalized (relaxed) residuals of the
-two coupling constraints.  An l2 gradient-descent trainer with the same
-architecture serves as the non-robust baseline.
+two coupling constraints.  An anchored run keeps Z = phi(W_enc X_in), so its
+second constraint holds exactly: it carries no B2, and its objective has no
+mu term.  An l2 gradient-descent trainer with the same architecture serves
+as the non-robust baseline.
 """
 
 from __future__ import annotations
@@ -61,12 +64,16 @@ def activate(values, kind: str, direction: str = "forward"):
             return np.tanh(arr)
         return 1.0 / (1.0 + np.exp(-arr))
     if direction == "inverse":
+        clipped = np.clip(arr, *_inverse_domain(kind))
         if kind == "tanh":
-            clipped = np.clip(arr, -1.0 + CLAMP_EPS, 1.0 - CLAMP_EPS)
             return np.arctanh(clipped)
-        clipped = np.clip(arr, CLAMP_EPS, 1.0 - CLAMP_EPS)
         return np.log(clipped / (1.0 - clipped))
     raise ValueError(f"unknown direction: {direction!r}")
+
+
+def _inverse_domain(kind):
+    """The closed interval the inverse activation clamps its argument to."""
+    return (-1.0 + CLAMP_EPS if kind == "tanh" else CLAMP_EPS), 1.0 - CLAMP_EPS
 
 
 def _activation_derivative(activated, kind):
@@ -213,6 +220,11 @@ class TrainingSet:
 class SplitBregmanState:
     """Auxiliary and relaxation variables of the robust trainer.
 
+    ``b2`` is None in anchored runs: their P4 sets Z = phi(W_enc X_in), so
+    the second constraint holds exactly and B2 would stay zero.  The
+    residual pass, the relaxation update and the objective then leave out
+    C2, R2 and the mu term.
+
     The trainer owns these arrays and updates P, B1 and B2 in place, so a
     caller that changes one replaces it rather than writing into it.  The
     state also keeps two products of the cycle, each with the arrays it
@@ -222,7 +234,8 @@ class SplitBregmanState:
     - ``gap`` = X_out - W_dec Z, computed by the residual pass and reused
       by the next cycle's P1;
     - ``encoded`` = phi(W_enc X_in), computed by P4 and reused by the
-      residual pass.
+      residual pass; an anchored Z is this array itself, which tells P2
+      that it may take its closed form.
 
     ``work`` is one d x N scratch array shared by the blocks.  From P3 to
     a coupled P4 it holds the decoder target X_out - P + B1; a block that
@@ -235,7 +248,7 @@ class SplitBregmanState:
     p: np.ndarray
     z: np.ndarray
     b1: np.ndarray
-    b2: np.ndarray
+    b2: np.ndarray | None
     lam: float
     mu: float
     iteration: int = 0
@@ -287,6 +300,17 @@ class SplitBregmanState:
 
 @dataclass
 class TrainConfig:
+    """Robust-trainer and l2-baseline settings.
+
+    ``mu`` weights the second penalty term and affects ``coupled`` runs
+    only: an anchored run has no such term.  :func:`dealias.config.train_config`
+    is the supported way to build one; it takes every value from
+    ``config.DEFAULTS``.  The field defaults here differ from those (the
+    l2 ``learning_rate`` is 0.01 here, 1e-4 there) and stay as they are
+    because the pinned ``SPLIT_STEP_HISTORY_SEED0`` regression relies on
+    them.
+    """
+
     hidden: int = 256
     lam: float = 1.0
     mu: float = 1.0
@@ -327,29 +351,36 @@ def constraint_residuals(model, tset, state):
 
     Both products come from the state and are recomputed only if stale.
     C1 is written into the work array, so it holds until the next block
-    writes there.
+    writes there.  C2 is None when the state has no B2 (anchored runs).
     """
     gap = state.gap_for(model, tset)
-    encoded = state.encoded_for(model, tset)
-    return np.subtract(state.p, gap, out=state.scratch()), state.z - encoded
+    c1 = np.subtract(state.p, gap, out=state.scratch())
+    if state.b2 is None:
+        return c1, None
+    return c1, state.z - state.encoded_for(model, tset)
 
 
 def penalty_objective(model, tset, state, residuals=None) -> float:
-    """Relaxed training objective ||P||_1 + lam ||R1||_F^2 + mu ||R2||_F^2.
+    """Relaxed training objective ||P||_1 + lam ||R1||_F^2 + mu ||R2||_F^2,
+    without the mu term when the state has no B2 (anchored runs).
 
     ``residuals`` may carry (R1, R2) already evaluated at the current
     state, or their negatives: right after the relaxation update B is one
-    or the other.
+    or the other.  R2 is None without B2.
     """
     if residuals is None:
         c1, c2 = constraint_residuals(model, tset, state)
-        residuals = np.subtract(c1, state.b1, out=c1), c2 - state.b2
+        r2 = None if c2 is None else c2 - state.b2
+        residuals = np.subtract(c1, state.b1, out=c1), r2
     r1, r2 = residuals
     r1_squared = float(np.multiply(r1, r1, out=state.scratch()).sum())
     if not state.computed_from("p_l1", state.p):
         state.p_l1 = float(np.abs(state.p, out=state.scratch()).sum())
         state.sources["p_l1"] = (state.p,)
-    return state.p_l1 + state.lam * r1_squared + state.mu * float((r2 * r2).sum())
+    objective = state.p_l1 + state.lam * r1_squared
+    if r2 is not None:
+        objective += state.mu * float((r2 * r2).sum())
+    return objective
 
 
 def objective_l1(model, tset) -> float:
@@ -376,13 +407,41 @@ def update_sparse_residual(model, tset, state):
 def update_encoder(model, tset, state, config, input_gram=None):
     """P2: fit pre-activations to the inverse-activated latent target.
 
-    ``input_gram`` may carry the Cholesky factor of the (iteration
-    invariant) input Gram matrix so the trainer can factor it once.
+    The fit is W_enc = phi^-1(Z - B2) X_in^T (G + eps I)^-1 with the input
+    Gram matrix G = X_in X_in^T.  When the state has no B2 and Z is the
+    state's phi(W_enc X_in) for the current W_enc and X_in (an anchored
+    run), the target is W_enc X_in itself, unless an entry of Z reached
+    the clip of the inverse activation.  The fit is then
+
+        W_enc G (G + eps I)^-1 = W_enc - eps W_enc (G + eps I)^-1,
+
+    an h-row solve against the factor in place of an h x N inverse
+    activation and an h x (d+1) x N product.  Any other Z takes the
+    general fit.  ``input_gram`` may carry the (iteration invariant)
+    Cholesky factor of G + eps I so the trainer can factor it once.
     """
-    target = activate(state.z - state.b2, model.activation, "inverse")
     if input_gram is None:
         input_gram = _gram_factor(tset.x_in, config.ridge_eps)
+    if _z_is_current_encoding(model, tset, state):
+        model.w_enc = model.w_enc - config.ridge_eps * scipy.linalg.cho_solve(
+            input_gram, model.w_enc.T
+        ).T
+        return
+    latent = state.z if state.b2 is None else state.z - state.b2
+    target = activate(latent, model.activation, "inverse")
     model.w_enc = scipy.linalg.cho_solve(input_gram, tset.x_in @ target.T).T
+
+
+def _z_is_current_encoding(model, tset, state):
+    """True when phi^-1(Z - B2) is W_enc X_in: there is no B2, Z is the
+    state's phi(W_enc X_in) for the current arrays, and no entry of Z
+    reached the inverse activation's clip."""
+    if state.b2 is not None or state.z is not state.encoded:
+        return False
+    if not state.computed_from("encoded", tset.x_in, model.w_enc):
+        return False
+    low, high = _inverse_domain(model.activation)
+    return bool(low < state.z.min() and state.z.max() < high)
 
 
 def update_decoder(model, tset, state, config):
@@ -405,9 +464,12 @@ def update_latent(model, tset, state, config):
     "anchored" mode sets Z = N, the closed form of the second term
     alone; it freezes the latent code to the encoder's output, which is
     markedly more stable when samples are scarce.  Both modes compute
-    phi(W_enc X_in) through the state, where the residual pass finds it.
+    phi(W_enc X_in) through the state, where the residual pass finds it;
+    without B2 an anchored Z is that array itself.
     """
-    anchor = state.encoded_for(model, tset) + state.b2
+    anchor = state.encoded_for(model, tset)
+    if state.b2 is not None:
+        anchor = anchor + state.b2
     if config.latent_update == "anchored":
         state.z = anchor
         return
@@ -422,11 +484,14 @@ def update_relaxation(model, tset, state, config, residuals=None):
     or B <- -R ("additive").  With R = C - B from
     :func:`constraint_residuals` these are B <- C - B and the running sum
     B <- B - C, written into B in place; B - C (not -R) keeps exact zeros
-    positive.  ``residuals`` may carry C already evaluated.
+    positive.  ``residuals`` may carry C already evaluated.  A state
+    without B2 updates B1 only.
     """
     c1, c2 = residuals or constraint_residuals(model, tset, state)
     state.sources.pop("work", None)
     for c, b in ((c1, state.b1), (c2, state.b2)):
+        if b is None:
+            continue
         if config.bregman_update == "reflective":
             np.subtract(c, b, out=b)
         else:
@@ -466,6 +531,24 @@ def _initial_weights(d, config):
     return AutoencoderModel(w_enc, w_dec, config.activation)
 
 
+def _initial_state(model, tset, config):
+    """The state a run starts from: Z is the state's own phi(W_enc X_in),
+    B1 = 0, and B2 = 0 in coupled runs only.  P is allocated but not set,
+    since P1 writes it before anything reads it."""
+    state = SplitBregmanState(
+        p=np.empty_like(tset.x_out),
+        z=None,
+        b1=np.zeros_like(tset.x_out),
+        b2=None,
+        lam=config.lam,
+        mu=config.mu,
+    )
+    state.z = state.encoded_for(model, tset)
+    if config.latent_update == "coupled":
+        state.b2 = np.zeros_like(state.z)
+    return state
+
+
 def _window_converged(history, rel_tol, window=5):
     if len(history) < window:
         return False
@@ -480,25 +563,17 @@ def _window_converged(history, rel_tol, window=5):
 def train_robust(tset: TrainingSet, config: TrainConfig):
     """Train the l1-cost autoencoder.
 
-    Initializes weights from seeded Gaussians scaled by 1/sqrt(fan-in),
-    the latent code from the encoder pass and the sparse residual from
-    the decoder pass, then iterates :func:`split_bregman_step` until the
-    relative objective change stays below ``rel_tol`` across a window of
-    five objective values or ``max_iter`` cycles are done.  Returns the
-    trained model together with the final solver state.
+    Initializes weights from seeded Gaussians scaled by 1/sqrt(fan-in)
+    and the state by :func:`_initial_state`, then iterates
+    :func:`split_bregman_step` until the relative objective change stays
+    below ``rel_tol`` across a window of five objective values or
+    ``max_iter`` cycles are done.  Returns the trained model together
+    with the final solver state.
     """
     d = tset.x_out.shape[0]
     model = _initial_weights(d, config)
-    z = activate(model.w_enc @ tset.x_in, config.activation)
-    state = SplitBregmanState(
-        p=np.empty_like(tset.x_out),
-        z=z,
-        b1=np.zeros_like(tset.x_out),
-        b2=np.zeros_like(z),
-        lam=config.lam,
-        mu=config.mu,
-    )
-    np.copyto(state.p, state.gap_for(model, tset))
+    state = _initial_state(model, tset, config)
+    state.gap_for(model, tset)  # the first P1 reuses it
     input_gram = _gram_factor(tset.x_in, config.ridge_eps)
     for _ in range(config.max_iter):
         split_bregman_step(model, tset, state, config, input_gram)

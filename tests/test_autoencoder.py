@@ -1,17 +1,22 @@
 """Robust trainer internals: activations, exact block solves, training loops."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import dealias as d
 from dealias.autoencoder import (
+    ACTIVATIONS,
     BREGMAN_UPDATES,
     LATENT_UPDATES,
     SplitBregmanState,
     _gram_factor,
+    _initial_state,
     _initial_weights,
+    _inverse_domain,
     activate,
     constraint_residuals,
     l2_loss_and_grads,
@@ -35,15 +40,12 @@ def toy_training_set(dim=16, count=64, seed=0):
 
 
 def fresh_state(model, tset, config):
-    z = activate(model.w_enc @ tset.x_in, config.activation)
-    return SplitBregmanState(
-        p=tset.x_out - model.w_dec @ z,
-        z=z,
-        b1=np.zeros_like(tset.x_out),
-        b2=np.zeros_like(z),
-        lam=config.lam,
-        mu=config.mu,
-    )
+    """The state train_robust starts from (anchored: no B2, and Z is the
+    state's own phi(W_enc X_in)), with P set to X_out - W_dec Z so that
+    the objective is defined before the first P1."""
+    state = _initial_state(model, tset, config)
+    np.copyto(state.p, state.gap_for(model, tset))
+    return state
 
 
 class TestActivate:
@@ -267,24 +269,26 @@ SPLIT_STEP_HISTORY_SEED0 = [
 def unshared_cycle(model, tset, state, config):
     """One cycle as written before the residuals were shared: the objective
     and the relaxation update (B <- c - B, B <- B - c) each evaluate the
-    constraints themselves."""
+    constraints themselves.  Without B2 (anchored) the second constraint
+    must hold exactly and adds nothing."""
     update_sparse_residual(model, tset, state)
     update_encoder(model, tset, state, config)
     update_decoder(model, tset, state, config)
     update_latent(model, tset, state, config)
     r1 = state.p - (tset.x_out - model.w_dec @ state.z) - state.b1
-    r2 = state.z - activate(model.w_enc @ tset.x_in, model.activation) - state.b2
-    state.objective_history.append(
-        float(np.abs(state.p).sum())
-        + state.lam * float((r1 * r1).sum())
-        + state.mu * float((r2 * r2).sum())
-    )
+    objective = float(np.abs(state.p).sum()) + state.lam * float((r1 * r1).sum())
     c1 = state.p - (tset.x_out - model.w_dec @ state.z)
     c2 = state.z - activate(model.w_enc @ tset.x_in, model.activation)
-    if config.bregman_update == "reflective":
-        state.b1, state.b2 = c1 - state.b1, c2 - state.b2
+    if state.b2 is None:
+        assert not c2.any()
     else:
-        state.b1, state.b2 = state.b1 - c1, state.b2 - c2
+        r2 = c2 - state.b2
+        objective += state.mu * float((r2 * r2).sum())
+    state.objective_history.append(objective)
+    for name, c in (("b1", c1), ("b2", c2)):
+        b = getattr(state, name)
+        if b is not None:
+            setattr(state, name, c - b if config.bregman_update == "reflective" else b - c)
 
 
 # (dim, count, hidden) of the unshared-cycle comparison; the first keeps the
@@ -318,23 +322,46 @@ class TestRelaxationIdentity:
         (model, state), (ref_model, ref_state) = runs
         assert len(state.objective_history) == 10
         assert state.objective_history == ref_state.objective_history
-        for name in ("p", "z", "b1", "b2"):
-            assert getattr(state, name).tobytes() == getattr(ref_state, name).tobytes()
-        assert model.w_enc.tobytes() == ref_model.w_enc.tobytes()
-        assert model.w_dec.tobytes() == ref_model.w_dec.tobytes()
+        assert state_bytes(model, state) == state_bytes(ref_model, ref_state)
 
     @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
-    def test_anchored_b2_stays_positive_zero(self, bregman):
-        # P4 sets Z = phi(W_enc X_in) + B2, so R2 = 0 and B2 stays +0.0
+    def test_anchored_run_has_no_b2_and_pinned_bytes(self, bregman):
+        # P4 sets Z = phi(W_enc X_in), so the run carries no B2 and no C2;
+        # its objective history and weights are pinned byte for byte
         config = d.TrainConfig(
-            hidden=8, lam=20.0, ridge_eps=1e-2, max_iter=30, rel_tol=0.0,
+            hidden=8, lam=20.0, ridge_eps=1e-2, max_iter=10, rel_tol=0.0,
             bregman_update=bregman, latent_update="anchored",
         )
         tset = toy_training_set(dim=16, count=64, seed=0)
         model, state = d.train_robust(tset, config)
-        assert state.b2.tobytes() == np.zeros_like(state.b2).tobytes()
-        _, r2 = constraint_residuals(model, tset, state)
-        assert not r2.any()
+        assert state.b2 is None
+        assert constraint_residuals(model, tset, state)[1] is None
+        history, weights_sha256 = ANCHORED_PINS[bregman]
+        assert state.objective_history == history
+        weights = model.w_enc.tobytes() + model.w_dec.tobytes()
+        assert hashlib.sha256(weights).hexdigest() == weights_sha256
+
+
+# anchored train_robust at d=16, N=64, h=8, lam 20, ridge 1e-2, 10 cycles:
+# objective history and the SHA-256 of the w_enc then w_dec bytes
+ANCHORED_PINS = {
+    "reflective": (
+        [
+            709.8547062622534, 684.6146044027334, 662.7581256156628, 640.764042388094,
+            619.2472136896391, 597.8342707441026, 576.7975865566619, 556.0838380642969,
+            535.8230232724047, 516.0713372758495,
+        ],
+        "b3b2a04d20693fc09e44947049890832c074461b0df984946e04332c8ca8a931",
+    ),
+    "additive": (
+        [
+            709.8547062622534, 690.8957068082576, 669.1361798614811, 647.6836760372295,
+            626.6194740114456, 605.9036207019474, 585.4405716025672, 565.3081548568749,
+            545.6868844817337, 526.7733359072374,
+        ],
+        "def74159b4004c1067a903e40ef729f328b58b8bb13042373cca00f7568c357b",
+    ),
+}
 
 
 VARIANTS = pytest.mark.parametrize(
@@ -345,7 +372,7 @@ VARIANTS = pytest.mark.parametrize(
 
 def state_bytes(model, state):
     arrays = (model.w_enc, model.w_dec, state.p, state.z, state.b1, state.b2)
-    return [a.tobytes() for a in arrays]
+    return [None if a is None else a.tobytes() for a in arrays]
 
 
 class TestCycleBuffers:
@@ -418,9 +445,13 @@ class TestCycleBuffers:
         setattr(owner, replaced, getattr(owner, replaced) * 1.01)
         fresh_model = d.AutoencoderModel(model.w_enc.copy(), model.w_dec.copy(), model.activation)
         fresh = SplitBregmanState(
-            p=state.p.copy(), z=state.z.copy(), b1=state.b1.copy(), b2=state.b2.copy(),
-            lam=state.lam, mu=state.mu,
+            p=state.p.copy(), z=state.z.copy(), b1=state.b1.copy(),
+            b2=None if state.b2 is None else state.b2.copy(), lam=state.lam, mu=state.mu,
         )
+        if state.z is state.encoded and state.computed_from("encoded", tset.x_in, model.w_enc):
+            # an anchored Z that is still phi(W_enc X_in): share it as train_robust does
+            fresh.z = fresh.encoded_for(fresh_model, tset)
+            assert fresh.z.tobytes() == state.z.tobytes()
         assert penalty_objective(model, tset, state) == penalty_objective(
             fresh_model, tset, fresh
         )
@@ -444,6 +475,58 @@ class TestCycleBuffers:
         state.lam = np.inf
         with pytest.raises(NumericFailure, match="at iteration 2$"):
             split_bregman_step(model, tset, state, config)
+
+
+def general_encoder_fit(model, tset, state, config):
+    """P2's ridge fit phi^-1(Z - B2) X_in^T (G + eps I)^-1, as written
+    before the anchored closed form."""
+    latent = state.z if state.b2 is None else state.z - state.b2
+    target = activate(latent, model.activation, "inverse")
+    gram = _gram_factor(tset.x_in, config.ridge_eps)
+    return scipy.linalg.cho_solve(gram, tset.x_in @ target.T).T
+
+
+class TestEncoderUpdate:
+    """Anchored P2 takes its closed form only while Z is the state's own,
+    unclipped phi(W_enc X_in) and there is no B2; any other state gets the
+    general ridge fit, bit for bit."""
+
+    def _anchored(self, activation, scale=1.0):
+        config = d.TrainConfig(
+            hidden=8, lam=20.0, ridge_eps=1e-2, activation=activation, latent_update="anchored"
+        )
+        tset = toy_training_set(dim=16, count=40, seed=5)
+        model = _initial_weights(16, config)
+        model.w_enc = model.w_enc * scale
+        with np.errstate(over="ignore"):  # the scaled sigmoid saturates
+            return model, tset, fresh_state(model, tset, config), config
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_anchored_state_takes_closed_form(self, activation):
+        model, tset, state, config = self._anchored(activation)
+        gram = _gram_factor(tset.x_in, config.ridge_eps)
+        closed = model.w_enc - config.ridge_eps * scipy.linalg.cho_solve(gram, model.w_enc.T).T
+        general = general_encoder_fit(model, tset, state, config)
+        update_encoder(model, tset, state, config, gram)
+        assert model.w_enc.tobytes() == closed.tobytes()
+        assert np.abs(model.w_enc - general).max() <= 1e-9 * np.abs(general).max()
+
+    @pytest.mark.parametrize("case", ["clipped", "replaced-z", "replaced-w_enc", "with-b2"])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_other_states_take_general_fit(self, activation, case):
+        model, tset, state, config = self._anchored(activation, 1e3 if case == "clipped" else 1.0)
+        if case == "clipped":
+            low, high = _inverse_domain(activation)
+            assert state.z.min() <= low or state.z.max() >= high
+        elif case == "replaced-z":
+            state.z = state.z.copy()
+        elif case == "replaced-w_enc":
+            model.w_enc = model.w_enc.copy()
+        else:
+            state.b2 = np.zeros_like(state.z)
+        expected = general_encoder_fit(model, tset, state, config)
+        update_encoder(model, tset, state, config)
+        assert model.w_enc.tobytes() == expected.tobytes()
 
 
 class TestTrainRobust:

@@ -1,14 +1,30 @@
-"""Invariants of the patch, projection, Fourier and sparsifying kernels over
-randomized shapes."""
+"""Invariants of the patch, projection, Fourier and sparsifying kernels, the
+encoder update, and the tensor and config file formats over randomized
+shapes and values."""
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from dealias.core import SeededRng
+from dealias.autoencoder import (
+    ACTIVATIONS,
+    TrainConfig,
+    TrainingSet,
+    _gram_factor,
+    _initial_state,
+    _initial_weights,
+    update_encoder,
+)
+from dealias.config import CHOICES, DEFAULTS, parse_config_lines, resolve_config
+from dealias.core import SeededRng, read_tensor, write_tensor
 from dealias.cs import masked_fourier_operator
 from dealias.pipeline import extract_patches, reassemble_patches
 from dealias.transforms import (
@@ -135,3 +151,115 @@ def test_sparsifying_transform_is_orthonormal(levels, rows, cols, dct, seed):
     fx = sparsify(x, transform, "forward")
     assert abs(np.linalg.norm(fx) - np.linalg.norm(x)) <= 1e-12 * np.linalg.norm(x)
     assert np.abs(sparsify(fx, transform, "inverse") - x).max() <= 1e-12
+
+
+def encoder_updates(dim, count, hidden, ridge, activation, seed):
+    """P2 from an anchored start, once in closed form and once through the
+    general fit (forced by a copy of Z); also returns the start."""
+    config = TrainConfig(
+        hidden=hidden, ridge_eps=ridge, activation=activation,
+        latent_update="anchored", seed=seed,
+    )
+    values = SeededRng(seed).uniform(dim * count).reshape(dim, count)
+    tset = TrainingSet.from_arrays(values, values)
+    model = _initial_weights(dim, config)
+    state = _initial_state(model, tset, config)
+    start = model.w_enc
+    update_encoder(model, tset, state, config)
+    closed = model.w_enc
+    model.w_enc, state.z = start, state.z.copy()
+    update_encoder(model, tset, state, config)
+    return tset, start, closed, model.w_enc
+
+
+ENCODER_SHAPES = dict(
+    dim=st.integers(1, 48),
+    count=st.integers(1, 200),
+    hidden=st.integers(1, 24),
+    activation=st.sampled_from(ACTIVATIONS),
+    seed=st.integers(0, 2**16),
+)
+
+
+@given(log_ridge=st.floats(-4.0, 0.0), **ENCODER_SHAPES)
+def test_closed_form_encoder_update_matches_general_fit(
+    dim, count, hidden, log_ridge, activation, seed
+):
+    # the closed form W - eps W (G + eps I)^-1 is taken, and equals the
+    # ridge fit of phi^-1(Z); below ridge 1e-4 the Cholesky factor of
+    # G + eps I limits both (at 1e-6 they differ by about 1e-8), which the
+    # next property bounds against an SVD reference
+    ridge = 10.0 ** log_ridge
+    tset, start, closed, general = encoder_updates(dim, count, hidden, ridge, activation, seed)
+    gram = _gram_factor(tset.x_in, ridge)
+    expected = start - ridge * scipy.linalg.cho_solve(gram, start.T).T
+    assert closed.tobytes() == expected.tobytes()
+    assert np.abs(closed - general).max() <= 1e-9 * np.abs(general).max()
+
+
+@given(log_ridge=st.floats(-8.0, 0.0), **ENCODER_SHAPES)
+def test_closed_form_encoder_update_within_conditioning_of_svd(
+    dim, count, hidden, log_ridge, activation, seed
+):
+    # W G (G + eps I)^-1 = W U diag(s^2 / (s^2 + eps)) U^T with X_in = U S V^T;
+    # a Cholesky solve is accurate to about u * cond(G + eps I), and the
+    # products on either side add rounding of order u * (d + 1), all relative
+    # to W, from which the closed form subtracts a term of W's size
+    ridge = 10.0 ** log_ridge
+    tset, start, closed, _ = encoder_updates(dim, count, hidden, ridge, activation, seed)
+    u, s, _ = np.linalg.svd(tset.x_in)
+    s2 = np.zeros(u.shape[0])
+    s2[: s.size] = s * s
+    reference = ((start @ u) * (s2 / (s2 + ridge))) @ u.T
+    cond = (s2.max() + ridge) / ridge
+    bound = np.finfo(np.float64).eps * (cond + 10 * (dim + 1)) * np.abs(start).max()
+    assert np.abs(closed - reference).max() <= bound
+
+
+@given(
+    tensor=hnp.arrays(
+        np.float32,
+        hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=7),
+        elements=st.floats(width=32, allow_nan=False, allow_infinity=False),
+    )
+)
+def test_tensor_file_round_trip(tensor):
+    # every float32 value, signed zeros and subnormals included, comes back
+    # as the same float64 bytes in the same shape
+    values = tensor.astype(np.float64)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.rdt")
+        write_tensor(path, values)
+        back = read_tensor(path)
+    assert back.shape == values.shape
+    assert back.tobytes() == values.tobytes()
+
+
+# config strings are written verbatim and read back stripped, with '#'
+# starting a comment, so they are drawn from characters that survive that
+CONFIG_TEXT = st.text("abcXYZ019_-./", max_size=12)
+
+
+def config_value(key):
+    default = DEFAULTS[key]
+    if key in CHOICES:
+        return st.sampled_from(CHOICES[key])
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(-(2**40), 2**40)
+    if isinstance(default, float):
+        return st.floats(allow_nan=False)
+    return CONFIG_TEXT
+
+
+@given(
+    st.sets(st.sampled_from(sorted(DEFAULTS))).flatmap(
+        lambda keys: st.fixed_dictionaries({k: config_value(k) for k in sorted(keys)})
+    )
+)
+def test_config_canonical_text_round_trip(overrides):
+    text = resolve_config(overrides=overrides).canonical_text()
+    again = resolve_config(parse_config_lines(text.splitlines()))
+    assert again.canonical_text() == text
+    assert again.values == resolve_config(overrides=overrides).values
