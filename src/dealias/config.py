@@ -150,7 +150,13 @@ def resolve_config(file_values=None, overrides=None) -> RunConfig:
             for key, val in source.items():
                 if key not in DEFAULTS:
                     raise ValueError(f"unknown config key: {key!r}")
-                values[key] = _coerce(key, val) if isinstance(val, str) else val
+                value = _coerce(key, val) if isinstance(val, str) else val
+                # report headers are '#'-commented lines: these would not read back
+                if isinstance(value, str) and any(c in value for c in "#\r\n"):
+                    raise ValueError(
+                        f"config key {key!r}: {value!r} contains '#' or a line break"
+                    )
+                values[key] = value
     return RunConfig(values)
 
 

@@ -4,15 +4,23 @@ Frequency-domain sampling masks with zero-filled inversion model the
 MRI-style path; a parallel-beam radon transform with filtered back
 projection models the CT-style path.  An orthonormal sparsifying
 transform (Haar wavelet or DCT) supports the compressed-sensing solver.
+
+The radon transform is one sparse system matrix A per (size, angles),
+built once and cached; forward projection is ``A @ x`` and backprojection
+``A.T @ y``, so each is the exact transpose of the other.  A holds two
+entries per pixel and angle, 2 * n_angles * size**2 nonzeros at 12 bytes
+each (float64 weight, int32 row): 14 MB at 128 x 128 and 36 views.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
+import scipy.sparse
 
 from .core import SeededRng, ensure_image, write_tensor
 
@@ -183,14 +191,8 @@ class ProjectionSet:
     sinogram: np.ndarray
 
     def __post_init__(self):
-        angles = np.asarray(self.angles_deg, dtype=np.float64)
+        angles = _checked_angles(self.angles_deg)
         sino = np.asarray(self.sinogram, dtype=np.float64)
-        if angles.ndim != 1 or angles.size == 0:
-            raise ValueError("angles must be a nonempty 1-d array")
-        if np.any(angles < 0) or np.any(angles >= 180):
-            raise ValueError("angles must lie in [0, 180)")
-        if angles.size > 1 and np.any(np.diff(angles) <= 0):
-            raise ValueError("angles must be strictly increasing")
         if sino.ndim != 2 or sino.shape[0] != angles.size:
             raise ValueError("sinogram must be (n_angles, detector_bins)")
         if not np.all(np.isfinite(sino)):
@@ -201,6 +203,21 @@ class ProjectionSet:
     @property
     def detector_bins(self) -> int:
         return self.sinogram.shape[1]
+
+
+def _checked_angles(angles_deg) -> np.ndarray:
+    """Projection angles as float64 degrees: a nonempty 1-d array, finite,
+    in [0, 180) and strictly increasing."""
+    angles = np.asarray(angles_deg, dtype=np.float64)
+    if angles.ndim != 1 or angles.size == 0:
+        raise ValueError("angles must be a nonempty 1-d array")
+    if not np.all(np.isfinite(angles)):
+        raise ValueError("angles must be finite")
+    if np.any(angles < 0) or np.any(angles >= 180):
+        raise ValueError("angles must lie in [0, 180)")
+    if np.any(np.diff(angles) <= 0):
+        raise ValueError("angles must be strictly increasing")
+    return angles
 
 
 def detector_bin_count(size: int) -> int:
@@ -223,6 +240,31 @@ def _splats(size, angles_deg):
         yield i0, u - i0
 
 
+@functools.lru_cache(maxsize=2)
+def _projector(size: int, angles_bytes: bytes) -> scipy.sparse.csc_matrix:
+    """Radon system matrix, (n_angles * bins) x size**2, one column per
+    pixel.  Column j holds, per angle k, weight 1 - w at row k * bins + i0
+    and w at row k * bins + i0 + 1, so its rows ascend as built.
+
+    Keyed by the bytes of validated float64 angles: callers check the
+    geometry first, so bad input is never built or cached.
+    """
+    angles = np.frombuffer(angles_bytes, dtype=np.float64)
+    bins = detector_bin_count(size)
+    pixels, views = size * size, angles.size
+    rows = np.empty((pixels, views, 2), dtype=np.int32)
+    weights = np.empty((pixels, views, 2))
+    for k, (i0, w) in enumerate(_splats(size, angles)):
+        rows[:, k, 0] = k * bins + i0
+        rows[:, k, 1] = k * bins + i0 + 1
+        weights[:, k, 0] = 1.0 - w
+        weights[:, k, 1] = w
+    indptr = np.arange(0, 2 * views * pixels + 1, 2 * views)
+    return scipy.sparse.csc_matrix(
+        (weights.ravel(), rows.ravel(), indptr), shape=(views * bins, pixels)
+    )
+
+
 def radon_forward(image, angles_deg) -> ProjectionSet:
     """Line integrals of a square image at the given angles (degrees).
 
@@ -233,14 +275,9 @@ def radon_forward(image, angles_deg) -> ProjectionSet:
     img = ensure_image(image)
     if img.shape[0] != img.shape[1]:
         raise ValueError("radon transform requires a square image")
-    angles = np.asarray(angles_deg, dtype=np.float64)
-    size = img.shape[0]
-    bins = detector_bin_count(size)
-    flat = img.ravel()
-    sino = np.zeros((angles.size, bins))
-    for k, (i0, w) in enumerate(_splats(size, angles)):
-        sino[k] = np.bincount(i0, weights=flat * (1.0 - w), minlength=bins)
-        sino[k] += np.bincount(i0 + 1, weights=flat * w, minlength=bins)
+    angles = _checked_angles(angles_deg)
+    projector = _projector(img.shape[0], angles.tobytes())
+    sino = (projector @ img.ravel()).reshape(angles.size, -1)
     return ProjectionSet(angles_deg=angles, sinogram=sino)
 
 
@@ -251,10 +288,8 @@ def backproject(projections: ProjectionSet, size: int) -> np.ndarray:
         raise ValueError(
             f"detector geometry {bins} does not match image size {size}"
         )
-    out = np.zeros(size * size)
-    for row, (i0, w) in zip(projections.sinogram, _splats(size, projections.angles_deg)):
-        out += row[i0] * (1.0 - w) + row[i0 + 1] * w
-    return out.reshape(size, size)
+    projector = _projector(size, projections.angles_deg.tobytes())
+    return (projector.T @ projections.sinogram.ravel()).reshape(size, size)
 
 
 def _ramp_filter(sinogram, window):

@@ -135,6 +135,12 @@ class TestConfig:
         reparsed = resolve_config(parse_config_lines(config.canonical_text().splitlines()))
         assert reparsed.values == config.values
 
+    @pytest.mark.parametrize("value", ["runs/a#1", "runs/a\rb", "runs/a\nb"])
+    def test_value_that_would_not_survive_the_header_rejected(self, value):
+        # report headers are '#'-commented key=value lines
+        with pytest.raises(ValueError, match="corpus_dir"):
+            resolve_config(overrides={"corpus_dir": value})
+
     def test_file_and_override_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("hidden=32\nlambda=3.0\n")
@@ -308,6 +314,13 @@ class TestBench:
         out = tmp_path / "out"
         argv = bench_args(tmp_path, out) + ["--set", "wavelet_levels=0"]
         assert command_dispatch(argv) == 2
+        assert not out.exists()
+
+    def test_comment_character_in_setting_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = bench_args(tmp_path, out) + ["--set", "corpus_dir=a#1"]
+        assert command_dispatch(argv) == 2
+        assert "corpus_dir" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["train_manifest", "test_manifest"])

@@ -1,6 +1,6 @@
 """Invariants of the patch, projection, Fourier and sparsifying kernels, the
-encoder update, and the tensor and config file formats over randomized
-shapes and values."""
+encoder update, the RNG stream, and the tensor and config file formats over
+randomized shapes and values."""
 
 import os
 import tempfile
@@ -31,7 +31,9 @@ from dealias.transforms import (
     ProjectionSet,
     SamplingMask,
     SparsifyingTransform,
+    _splats,
     backproject,
+    detector_bin_count,
     radon_forward,
     sparsify,
 )
@@ -109,6 +111,47 @@ def test_radon_backproject_adjoint(size, angles, seed):
     atv = backproject(ProjectionSet(angles, v), size)
     gap = abs(float((au * v).sum()) - float((u * atv).sum()))
     assert gap <= 1e-10 * np.linalg.norm(au) * np.linalg.norm(v)
+
+
+def bincount_radon(image, angles):
+    """Reference radon: each angle's two-bin splats summed by np.bincount."""
+    size = image.shape[0]
+    bins = detector_bin_count(size)
+    flat = image.ravel()
+    sino = np.zeros((len(angles), bins))
+    for k, (i0, w) in enumerate(_splats(size, angles)):
+        sino[k] = np.bincount(i0, weights=flat * (1.0 - w), minlength=bins)
+        sino[k] += np.bincount(i0 + 1, weights=flat * w, minlength=bins)
+    return sino
+
+
+def bincount_backproject(sinogram, angles, size):
+    """Reference backprojection: each angle's splats gathered in turn."""
+    out = np.zeros(size * size)
+    for row, (i0, w) in zip(sinogram, _splats(size, angles)):
+        out += row[i0] * (1.0 - w) + row[i0 + 1] * w
+    return out.reshape(size, size)
+
+
+@given(
+    size=st.integers(2, 48),
+    angles=st.lists(
+        st.floats(0.0, 180.0, exclude_max=True), min_size=1, max_size=12, unique=True
+    ).map(sorted),
+    seed=st.integers(0, 2**16),
+)
+def test_sparse_projector_matches_bincount_loops(size, angles, seed):
+    # the sparse matrix sums each bin and pixel in another order than the
+    # loops, so they agree to rounding, not bit for bit
+    rng = SeededRng(seed)
+    u = rng.normal((size, size))
+    expected = bincount_radon(u, angles)
+    got = radon_forward(u, angles).sinogram
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+    v = rng.normal(expected.shape)
+    expected = bincount_backproject(v, angles, size)
+    got = backproject(ProjectionSet(angles, v), size)
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 @given(
@@ -214,6 +257,19 @@ def test_closed_form_encoder_update_within_conditioning_of_svd(
     cond = (s2.max() + ridge) / ridge
     bound = np.finfo(np.float64).eps * (cond + 10 * (dim + 1)) * np.abs(start).max()
     assert np.abs(closed - reference).max() <= bound
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    first=st.integers(0, 300),
+    second=st.integers(0, 300),
+    method=st.sampled_from(["raw", "uniform", "normal"]),
+)
+def test_batched_rng_draws_equal_sequential_draws(seed, first, second, method):
+    batched = getattr(SeededRng(seed), method)(first + second)
+    draw = getattr(SeededRng(seed), method)
+    sequential = np.concatenate([draw(first), draw(second)])
+    assert batched.tobytes() == sequential.tobytes()
 
 
 @given(

@@ -9,6 +9,7 @@ from dealias.transforms import (
     ProjectionSet,
     SamplingMask,
     SparsifyingTransform,
+    _projector,
     backproject,
     detector_bin_count,
     fbp_reconstruct,
@@ -183,14 +184,36 @@ class TestRadon:
         assert abs(lhs - rhs) <= 1e-3 * abs(lhs)
 
     def test_non_square_rejected(self):
+        before = _projector.cache_info()
         with pytest.raises(ValueError):
             radon_forward(np.zeros((32, 64)), np.array([0.0]))
+        assert _projector.cache_info() == before
 
-    def test_angle_validation(self):
+    @pytest.mark.parametrize("angles", [
+        [], [[0.0, 90.0]], [0.0, np.nan], [0.0, 190.0], [-1.0, 0.0], [90.0, 0.0], [0.0, 0.0],
+    ])
+    def test_angle_validation(self, angles):
+        # bad geometry is rejected before a projector is built or cached
+        before = _projector.cache_info()
         with pytest.raises(ValueError):
-            radon_forward(np.zeros((32, 32)), np.array([0.0, 190.0]))
+            radon_forward(np.zeros((32, 32)), np.array(angles))
         with pytest.raises(ValueError):
-            radon_forward(np.zeros((32, 32)), np.array([]))
+            ProjectionSet(np.array(angles), np.zeros((np.size(angles), detector_bin_count(32))))
+        assert _projector.cache_info() == before
+
+    def test_projector_cached_by_angle_values(self):
+        img = np.zeros((16, 16))
+        img[3, 11] = 1.0
+        first = radon_forward(img, np.array([0.0, 45.0]))
+        # same count, other angles: a cache keyed by count would repeat `first`
+        second = radon_forward(img, np.array([0.0, 90.0]))
+        assert not np.array_equal(first.sinogram[1], second.sinogram[1])
+        before = _projector.cache_info()
+        again = radon_forward(img, np.array([0.0, 45.0]))
+        backproject(again, 16)
+        after = _projector.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+        assert np.array_equal(again.sinogram, first.sinogram)
 
 
 class TestFbp:
