@@ -5,22 +5,24 @@ MRI-style path; a parallel-beam radon transform with filtered back
 projection models the CT-style path.  An orthonormal sparsifying
 transform (Haar wavelet or DCT) supports the compressed-sensing solver.
 
-The radon transform is one sparse system matrix A per (size, angles),
-built once and cached; forward projection is ``A @ x`` and backprojection
-``A.T @ y``, so each is the exact transpose of the other.  A holds two
-entries per pixel and angle, 2 * n_angles * size**2 nonzeros at 12 bytes
-each (float64 weight, int32 row): 14 MB at 128 x 128 and 36 views.
+The radon transform is one sparse system matrix A per (size, angles);
+forward projection is ``A @ x`` and backprojection ``A.T @ y``, so each is
+the exact transpose of the other.  A holds two entries per pixel and
+angle, 2 * n_angles * size**2 nonzeros at 12 bytes each (float64 weight,
+int32 row): 14 MB at 128 x 128 and 36 views.  The gain needs the same
+geometry across calls: a geometry's first two uses apply A angle by angle
+without building it, the third builds and caches it, and a geometry whose
+A would pass 64 MiB is always applied angle by angle.  Both paths sum in
+the same order and give the same bits.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
-import scipy.sparse
 
 from .core import SeededRng, ensure_image, write_tensor
 
@@ -240,29 +242,75 @@ def _splats(size, angles_deg):
         yield i0, u - i0
 
 
-@functools.lru_cache(maxsize=2)
-def _projector(size: int, angles_bytes: bytes) -> scipy.sparse.csc_matrix:
-    """Radon system matrix, (n_angles * bins) x size**2, one column per
-    pixel.  Column j holds, per angle k, weight 1 - w at row k * bins + i0
-    and w at row k * bins + i0 + 1, so its rows ascend as built.
+# A projector is built only while it fits in this many bytes; a larger
+# geometry is applied angle by angle in O(size**2) memory.
+_PROJECTOR_MAX_BYTES = 64 * 2**20
+# Uses of a geometry applied angle by angle before its projector is built.
+# A build costs about three per-angle passes, so a geometry used once or
+# twice (one ``dealias degrade`` is one radon and one backprojection) never
+# pays for a matrix it would not reuse, and a reused one pays at most double.
+_USES_BEFORE_BUILD = 2
 
-    Keyed by the bytes of validated float64 angles: callers check the
-    geometry first, so bad input is never built or cached.
-    """
-    angles = np.frombuffer(angles_bytes, dtype=np.float64)
+
+def _projector_bytes(size: int, n_angles: int) -> int:
+    """Size of the projector: two entries per pixel and angle, each a
+    float64 weight and an int32 row."""
+    return 2 * n_angles * size * size * (8 + 4)
+
+
+def _build_projector(size: int, angles: np.ndarray):
+    """Radon system matrix A = lower + upper, each (n_angles * bins) x
+    size**2 with one column per pixel.  Per angle k, column j of lower holds
+    weight 1 - w at row k * bins + i0 and column j of upper holds w at row
+    k * bins + i0 + 1.  Kept as two parts so that products sum each bin or
+    pixel in the order of the per-angle loops, bit for bit."""
+    # imported here: a process that never reuses a geometry (one CLI call)
+    # skips the 20 ms import
+    import scipy.sparse
+
     bins = detector_bin_count(size)
     pixels, views = size * size, angles.size
-    rows = np.empty((pixels, views, 2), dtype=np.int32)
-    weights = np.empty((pixels, views, 2))
+    rows = np.empty((pixels, views), dtype=np.int32)
+    weights = np.empty((pixels, views))
     for k, (i0, w) in enumerate(_splats(size, angles)):
-        rows[:, k, 0] = k * bins + i0
-        rows[:, k, 1] = k * bins + i0 + 1
-        weights[:, k, 0] = 1.0 - w
-        weights[:, k, 1] = w
-    indptr = np.arange(0, 2 * views * pixels + 1, 2 * views)
-    return scipy.sparse.csc_matrix(
-        (weights.ravel(), rows.ravel(), indptr), shape=(views * bins, pixels)
-    )
+        rows[:, k] = k * bins + i0
+        weights[:, k] = w
+    indptr = np.arange(0, views * pixels + 1, views)
+    shape = (views * bins, pixels)
+    lower = scipy.sparse.csc_matrix(((1.0 - weights).ravel(), rows.ravel(), indptr), shape=shape)
+    upper = scipy.sparse.csc_matrix((weights.ravel(), (rows + 1).ravel(), indptr), shape=shape)
+    return lower, upper
+
+
+class _ProjectorCache:
+    """The projector of the geometry most recently used, or None.
+
+    A geometry's projector is built on its use after ``_USES_BEFORE_BUILD``
+    and only within ``_PROJECTOR_MAX_BYTES``; a new geometry drops the old
+    projector, so at most one is held.  Callers validate the geometry
+    first, so bad input is never built or cached.
+    """
+
+    def __init__(self):
+        self.key = None
+        self.uses = 0
+        self.matrix = None
+
+    def lookup(self, size: int, angles: np.ndarray):
+        key = (size, angles.tobytes())
+        if key != self.key:
+            self.key, self.uses, self.matrix = key, 0, None
+        self.uses += 1
+        if (
+            self.matrix is None
+            and self.uses > _USES_BEFORE_BUILD
+            and _projector_bytes(size, angles.size) <= _PROJECTOR_MAX_BYTES
+        ):
+            self.matrix = _build_projector(size, angles)
+        return self.matrix
+
+
+_PROJECTOR = _ProjectorCache()
 
 
 def radon_forward(image, angles_deg) -> ProjectionSet:
@@ -276,8 +324,18 @@ def radon_forward(image, angles_deg) -> ProjectionSet:
     if img.shape[0] != img.shape[1]:
         raise ValueError("radon transform requires a square image")
     angles = _checked_angles(angles_deg)
-    projector = _projector(img.shape[0], angles.tobytes())
-    sino = (projector @ img.ravel()).reshape(angles.size, -1)
+    size = img.shape[0]
+    flat = img.ravel()
+    projector = _PROJECTOR.lookup(size, angles)
+    if projector is not None:
+        lower, upper = projector
+        sino = (lower @ flat + upper @ flat).reshape(angles.size, -1)
+        return ProjectionSet(angles_deg=angles, sinogram=sino)
+    bins = detector_bin_count(size)
+    sino = np.zeros((angles.size, bins))
+    for k, (i0, w) in enumerate(_splats(size, angles)):
+        sino[k] = np.bincount(i0, weights=flat * (1.0 - w), minlength=bins)
+        sino[k] += np.bincount(i0 + 1, weights=flat * w, minlength=bins)
     return ProjectionSet(angles_deg=angles, sinogram=sino)
 
 
@@ -288,8 +346,17 @@ def backproject(projections: ProjectionSet, size: int) -> np.ndarray:
         raise ValueError(
             f"detector geometry {bins} does not match image size {size}"
         )
-    projector = _projector(size, projections.angles_deg.tobytes())
-    return (projector.T @ projections.sinogram.ravel()).reshape(size, size)
+    angles = projections.angles_deg
+    projector = _PROJECTOR.lookup(size, angles)
+    if projector is not None:
+        lower, upper = projector
+        values = projections.sinogram.ravel()
+        return (lower.T @ values + upper.T @ values).reshape(size, size)
+    lower, upper = np.zeros(size * size), np.zeros(size * size)
+    for row, (i0, w) in zip(projections.sinogram, _splats(size, angles)):
+        lower += (1.0 - w) * row[i0]
+        upper += w * row[i0 + 1]
+    return (lower + upper).reshape(size, size)
 
 
 def _ramp_filter(sinogram, window):

@@ -4,6 +4,7 @@ randomized shapes and values."""
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dealias import transforms
 from dealias.autoencoder import (
     ACTIVATIONS,
     TrainConfig,
@@ -140,18 +142,25 @@ def bincount_backproject(sinogram, angles, size):
     ).map(sorted),
     seed=st.integers(0, 2**16),
 )
-def test_sparse_projector_matches_bincount_loops(size, angles, seed):
-    # the sparse matrix sums each bin and pixel in another order than the
-    # loops, so they agree to rounding, not bit for bit
+def test_projector_matches_bincount_loops(size, angles, seed):
+    # a geometry's first two uses run angle by angle and its third applies
+    # the built matrix: the two agree bit for bit, so a result never depends
+    # on what ran before it.  Radon sums each bin in the order of the
+    # reference loop, to the bit; the reference backprojection adds each
+    # angle's pair of terms before accumulating, so it agrees to rounding.
     rng = SeededRng(seed)
     u = rng.normal((size, size))
-    expected = bincount_radon(u, angles)
-    got = radon_forward(u, angles).sinogram
-    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
-    v = rng.normal(expected.shape)
+    v = rng.normal((len(angles), detector_bin_count(size)))
+    with mock.patch.object(transforms, "_PROJECTOR", transforms._ProjectorCache()):
+        by_angle = radon_forward(u, angles).sinogram, backproject(ProjectionSet(angles, v), size)
+        assert transforms._PROJECTOR.matrix is None
+        by_matrix = radon_forward(u, angles).sinogram, backproject(ProjectionSet(angles, v), size)
+        assert transforms._PROJECTOR.matrix is not None
+    for first, later in zip(by_angle, by_matrix):
+        assert first.tobytes() == later.tobytes()
+    assert by_angle[0].tobytes() == bincount_radon(u, angles).tobytes()
     expected = bincount_backproject(v, angles, size)
-    got = backproject(ProjectionSet(angles, v), size)
-    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert np.abs(by_angle[1] - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 @given(

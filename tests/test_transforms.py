@@ -1,15 +1,20 @@
 """Acquisition transforms: FFT, masks, zero-filling, radon/FBP, wavelets."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from dealias import transforms
 from dealias.core import SeededRng, generate_phantom, read_tensor
 from dealias.metrics import nmse
 from dealias.transforms import (
     ProjectionSet,
     SamplingMask,
     SparsifyingTransform,
-    _projector,
+    _PROJECTOR_MAX_BYTES,
+    _projector_bytes,
     backproject,
     detector_bin_count,
     fbp_reconstruct,
@@ -183,37 +188,77 @@ class TestRadon:
         rhs = float((u * atv).sum())
         assert abs(lhs - rhs) <= 1e-3 * abs(lhs)
 
+    @staticmethod
+    def _cache_state():
+        cache = transforms._PROJECTOR
+        return cache.key, cache.uses, cache.matrix
+
     def test_non_square_rejected(self):
-        before = _projector.cache_info()
+        before = self._cache_state()
         with pytest.raises(ValueError):
             radon_forward(np.zeros((32, 64)), np.array([0.0]))
-        assert _projector.cache_info() == before
+        assert self._cache_state() == before
 
     @pytest.mark.parametrize("angles", [
         [], [[0.0, 90.0]], [0.0, np.nan], [0.0, 190.0], [-1.0, 0.0], [90.0, 0.0], [0.0, 0.0],
     ])
     def test_angle_validation(self, angles):
-        # bad geometry is rejected before a projector is built or cached
-        before = _projector.cache_info()
+        # bad geometry is rejected before it is counted, built or cached
+        before = self._cache_state()
         with pytest.raises(ValueError):
             radon_forward(np.zeros((32, 32)), np.array(angles))
         with pytest.raises(ValueError):
             ProjectionSet(np.array(angles), np.zeros((np.size(angles), detector_bin_count(32))))
-        assert _projector.cache_info() == before
+        assert self._cache_state() == before
 
     def test_projector_cached_by_angle_values(self):
         img = np.zeros((16, 16))
         img[3, 11] = 1.0
-        first = radon_forward(img, np.array([0.0, 45.0]))
-        # same count, other angles: a cache keyed by count would repeat `first`
-        second = radon_forward(img, np.array([0.0, 90.0]))
-        assert not np.array_equal(first.sinogram[1], second.sinogram[1])
-        before = _projector.cache_info()
-        again = radon_forward(img, np.array([0.0, 45.0]))
-        backproject(again, 16)
-        after = _projector.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
-        assert np.array_equal(again.sinogram, first.sinogram)
+        with mock.patch.object(transforms, "_PROJECTOR", transforms._ProjectorCache()):
+            first = [radon_forward(img, np.array([0.0, 45.0])) for _ in range(3)]
+            built = transforms._PROJECTOR.matrix
+            assert built is not None
+            # same count, other angles: a cache keyed by count would repeat
+            # `first` and keep its matrix
+            second = [radon_forward(img, np.array([0.0, 90.0])) for _ in range(3)]
+            assert not np.array_equal(first[-1].sinogram[1], second[-1].sinogram[1])
+            assert transforms._PROJECTOR.matrix is not built
+            again = radon_forward(img, np.array([0.0, 90.0]))
+            backproject(again, 16)
+            # a repeat use is a hit: the built matrix is reused, not rebuilt
+            assert transforms._PROJECTOR.uses == 5
+            assert transforms._PROJECTOR.matrix is not None
+            matrix = transforms._PROJECTOR.matrix
+            radon_forward(img, np.array([0.0, 90.0]))
+            assert transforms._PROJECTOR.matrix is matrix
+        assert np.array_equal(again.sinogram, second[0].sinogram)
+
+    def test_one_shot_geometry_builds_no_matrix(self):
+        # one radon and one backprojection, as in one `dealias degrade`,
+        # run angle by angle: the matrix is built only on a third use
+        img = generate_phantom("shepp-logan", 32)
+        with mock.patch.object(transforms, "_PROJECTOR", transforms._ProjectorCache()):
+            fbp_reconstruct(radon_forward(img, np.arange(0.0, 180.0, 5.0)), 32)
+            assert transforms._PROJECTOR.uses == 2
+            assert transforms._PROJECTOR.matrix is None
+
+    def test_over_budget_geometry_is_applied_by_angle(self):
+        # 0.5 degree spacing at 128 x 128 would need a 142 MB matrix
+        size, angles = 128, np.arange(0.0, 180.0, 0.5)
+        assert _projector_bytes(size, angles.size) > _PROJECTOR_MAX_BYTES
+        img = generate_phantom("shepp-logan", size)
+        with mock.patch.object(transforms, "_PROJECTOR", transforms._ProjectorCache()):
+            tracemalloc.start()
+            try:
+                for _ in range(3):
+                    proj = radon_forward(img, angles)
+                backproject(proj, size)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert transforms._PROJECTOR.matrix is None
+        # per-angle work needs O(size**2) memory whatever the view count
+        assert peak < _projector_bytes(size, angles.size) / 10
 
 
 class TestFbp:
