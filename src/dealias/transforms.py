@@ -19,6 +19,7 @@ the same order and give the same bits.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,7 +249,7 @@ _PROJECTOR_MAX_BYTES = 64 * 2**20
 # Uses of a geometry applied angle by angle before its projector is built.
 # A build costs about three per-angle passes, so a geometry used once or
 # twice (one ``dealias degrade`` is one radon and one backprojection) never
-# pays for a matrix it would not reuse, and a reused one pays at most double.
+# pays for a matrix it would not reuse.
 _USES_BEFORE_BUILD = 2
 
 
@@ -265,7 +266,7 @@ def _build_projector(size: int, angles: np.ndarray):
     k * bins + i0 + 1.  Kept as two parts so that products sum each bin or
     pixel in the order of the per-angle loops, bit for bit."""
     # imported here: a process that never reuses a geometry (one CLI call)
-    # skips the 20 ms import
+    # skips the import, about 20 ms
     import scipy.sparse
 
     bins = detector_bin_count(size)
@@ -288,26 +289,29 @@ class _ProjectorCache:
     A geometry's projector is built on its use after ``_USES_BEFORE_BUILD``
     and only within ``_PROJECTOR_MAX_BYTES``; a new geometry drops the old
     projector, so at most one is held.  Callers validate the geometry
-    first, so bad input is never built or cached.
+    first, so bad input is never built or cached.  A lock keeps a thread
+    from storing its projector under another thread's geometry.
     """
 
     def __init__(self):
+        self.lock = threading.Lock()
         self.key = None
         self.uses = 0
         self.matrix = None
 
     def lookup(self, size: int, angles: np.ndarray):
         key = (size, angles.tobytes())
-        if key != self.key:
-            self.key, self.uses, self.matrix = key, 0, None
-        self.uses += 1
-        if (
-            self.matrix is None
-            and self.uses > _USES_BEFORE_BUILD
-            and _projector_bytes(size, angles.size) <= _PROJECTOR_MAX_BYTES
-        ):
-            self.matrix = _build_projector(size, angles)
-        return self.matrix
+        with self.lock:
+            if key != self.key:
+                self.key, self.uses, self.matrix = key, 0, None
+            self.uses += 1
+            if (
+                self.matrix is None
+                and self.uses > _USES_BEFORE_BUILD
+                and _projector_bytes(size, angles.size) <= _PROJECTOR_MAX_BYTES
+            ):
+                self.matrix = _build_projector(size, angles)
+            return self.matrix
 
 
 _PROJECTOR = _ProjectorCache()

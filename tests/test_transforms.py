@@ -1,5 +1,7 @@
 """Acquisition transforms: FFT, masks, zero-filling, radon/FBP, wavelets."""
 
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -232,6 +234,35 @@ class TestRadon:
             radon_forward(img, np.array([0.0, 90.0]))
             assert transforms._PROJECTOR.matrix is matrix
         assert np.array_equal(again.sinogram, second[0].sinogram)
+
+    def test_threads_never_share_a_geometry_projector(self):
+        # three threads reuse one geometry, so its projector gets built,
+        # while a fourth uses another of equal size and view count: no call
+        # may get a projector built for the other geometry
+        img = generate_phantom("shepp-logan", 96)
+        geometries = [np.arange(0.0, 180.0, 10.0), np.arange(5.0, 180.0, 10.0)]
+        expected = [radon_forward(img, angles).sinogram for angles in geometries]
+        wrong = []
+
+        def work(which):
+            for _ in range(30):
+                if not np.array_equal(radon_forward(img, geometries[which]).sinogram, expected[which]):
+                    wrong.append(which)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(6):
+                with mock.patch.object(transforms, "_PROJECTOR", transforms._ProjectorCache()):
+                    threads = [threading.Thread(target=work, args=(i // 3,)) for i in range(4)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60)
+                    assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
 
     def test_one_shot_geometry_builds_no_matrix(self):
         # one radon and one backprojection, as in one `dealias degrade`,
