@@ -305,10 +305,10 @@ class TrainConfig:
     ``mu`` weights the second penalty term and affects ``coupled`` runs
     only: an anchored run has no such term.  :func:`dealias.config.train_config`
     is the supported way to build one; it takes every value from
-    ``config.DEFAULTS``.  The field defaults here differ from those (the
-    l2 ``learning_rate`` is 0.01 here, 1e-4 there) and stay as they are
-    because the pinned ``SPLIT_STEP_HISTORY_SEED0`` regression relies on
-    them.
+    ``config.DEFAULTS``, and each field default here equals its
+    ``DEFAULTS`` value.  The pinned ``SPLIT_STEP_HISTORY_SEED0`` regression
+    relies on the ``ridge_eps``, ``activation``, ``bregman_update`` and
+    ``latent_update`` defaults.
     """
 
     hidden: int = 256
@@ -321,7 +321,7 @@ class TrainConfig:
     bregman_update: str = "reflective"
     latent_update: str = "coupled"
     seed: int = 0
-    learning_rate: float = 0.01  # l2 baseline only
+    learning_rate: float = 1e-4  # l2 baseline only
     epochs: int = 200  # l2 baseline only
 
     def __post_init__(self):
@@ -479,15 +479,14 @@ def update_latent(model, tset, state, config):
     state.z = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs)
 
 
-def update_relaxation(model, tset, state, config, residuals=None):
+def update_relaxation(model, tset, state, config):
     """Relaxation-variable update closing one cycle: B <- R ("reflective")
     or B <- -R ("additive").  With R = C - B from
     :func:`constraint_residuals` these are B <- C - B and the running sum
     B <- B - C, written into B in place; B - C (not -R) keeps exact zeros
-    positive.  ``residuals`` may carry C already evaluated.  A state
-    without B2 updates B1 only.
+    positive.  A state without B2 updates B1 only.
     """
-    c1, c2 = residuals or constraint_residuals(model, tset, state)
+    c1, c2 = constraint_residuals(model, tset, state)
     state.sources.pop("work", None)
     for c, b in ((c1, state.b1), (c2, state.b2)):
         if b is None:
@@ -511,7 +510,7 @@ def split_bregman_step(model, tset, state, config, input_gram=None):
     update_encoder(model, tset, state, config, input_gram)
     update_decoder(model, tset, state, config)
     update_latent(model, tset, state, config)
-    update_relaxation(model, tset, state, config, constraint_residuals(model, tset, state))
+    update_relaxation(model, tset, state, config)
     objective = penalty_objective(model, tset, state, (state.b1, state.b2))
     if not (
         np.isfinite(objective)
@@ -573,7 +572,6 @@ def train_robust(tset: TrainingSet, config: TrainConfig):
     d = tset.x_out.shape[0]
     model = _initial_weights(d, config)
     state = _initial_state(model, tset, config)
-    state.gap_for(model, tset)  # the first P1 reuses it
     input_gram = _gram_factor(tset.x_in, config.ridge_eps)
     for _ in range(config.max_iter):
         split_bregman_step(model, tset, state, config, input_gram)
@@ -590,14 +588,15 @@ def train_robust(tset: TrainingSet, config: TrainConfig):
 
 
 def l2_loss_and_grads(model, tset):
-    """Squared-error loss and its exact weight gradients."""
-    h = model.w_enc @ tset.x_in
-    z = activate(h, model.activation)
-    residual = model.w_dec @ z - tset.x_out
-    loss = float((residual * residual).sum())
-    g_out = 2.0 * residual
-    g_dec = g_out @ z.T
-    g_hidden = (model.w_dec.T @ g_out) * _activation_derivative(z, model.activation)
+    """Squared-error loss and its exact weight gradients, through one d x N
+    residual W_dec Z - X_out, formed and doubled (exactly) in place."""
+    z = activate(model.w_enc @ tset.x_in, model.activation)
+    residual = model.w_dec @ z
+    residual -= tset.x_out
+    loss = float(np.vdot(residual, residual))
+    residual *= 2.0
+    g_dec = residual @ z.T
+    g_hidden = (model.w_dec.T @ residual) * _activation_derivative(z, model.activation)
     g_enc = g_hidden @ tset.x_in.T
     return loss, g_enc, g_dec
 

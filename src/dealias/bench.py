@@ -20,7 +20,7 @@ from .autoencoder import train_l2_baseline, train_robust
 from .config import RunConfig, degradation_spec, train_config
 from .core import SeededRng, atomic_write_bytes, random_phantom, read_tensor, write_tensor
 from .cs import cs_reconstruct_image
-from .metrics import MetricReport, MetricRow, nmse, psnr, ssim
+from .metrics import METRICS, MetricReport, MetricRow, nmse, psnr, ssim
 from .pipeline import (
     TEST_SEED_OFFSET,
     _entry_spec,
@@ -28,6 +28,7 @@ from .pipeline import (
     build_training_set,
     degrade,
     load_manifest,
+    patch_stride,
     reconstruct_image,
 )
 from .transforms import SparsifyingTransform, fft2
@@ -39,7 +40,6 @@ METHODS = ("raw", "robust-ae", "l2-ae", "ista")
 class BenchResult:
     reports: dict  # method name -> MetricReport
     timing: dict  # label -> seconds (plus the ista/robust-ae speed ratio)
-    config: RunConfig
 
 
 def _ensure_corpus(config: RunConfig, outdir):
@@ -82,13 +82,20 @@ def _timed(fn, *args, **kwargs):
 
 
 def run_benchmark(config: RunConfig, outdir) -> BenchResult:
+    # settings that can be checked without the images fail before any work
     spec = degradation_spec(config)
     tconf = train_config(config)
     transform = SparsifyingTransform(config["transform"], config["wavelet_levels"])
-    os.makedirs(outdir, exist_ok=True)
-    train_entries, test_entries = _ensure_corpus(config, outdir)
     patch_size = config["patch_size"]
     overlap = config["overlap"]
+    patch_stride(patch_size, overlap)
+    patch_stride(patch_size, config["train_overlap"])
+    if config["ista_lambda"] < 0:
+        raise ValueError("ista_lambda must be nonnegative")
+    if config["timing_reps"] < 1:
+        raise ValueError("timing_reps must be at least 1")
+    os.makedirs(outdir, exist_ok=True)
+    train_entries, test_entries = _ensure_corpus(config, outdir)
 
     tset = build_training_set(train_entries, spec, patch_size, config["train_overlap"])
     (robust_model, _), robust_seconds = _timed(train_robust, tset, tconf)
@@ -108,27 +115,20 @@ def run_benchmark(config: RunConfig, outdir) -> BenchResult:
             degraded = read_tensor(degraded_path)
         last_clean, last_degraded = clean, degraded
 
-        def add(method, image, seconds):
+        def add(method, image):
             reports[method].rows.append(
-                MetricRow(name, nmse(image, clean), psnr(image, clean),
-                          ssim(image, clean), seconds)
+                MetricRow(name, nmse(image, clean), psnr(image, clean), ssim(image, clean))
             )
 
-        add("raw", degraded, 0.0)
-        timing: dict = {}
-        robust_out = reconstruct_image(robust_model, degraded, overlap, timing)
-        add("robust-ae", robust_out, timing["seconds"])
-        timing = {}
-        l2_out = reconstruct_image(l2_model, degraded, overlap, timing)
-        add("l2-ae", l2_out, timing["seconds"])
+        add("raw", degraded)
+        add("robust-ae", reconstruct_image(robust_model, degraded, overlap))
+        add("l2-ae", reconstruct_image(l2_model, degraded, overlap))
         if use_ista:
             mask = build_mask(entry_spec, *clean.shape)
-            kspace = fft2(clean, "forward")
-            ista_out, seconds = _timed(
-                cs_reconstruct_image, kspace, mask, transform,
+            add("ista", cs_reconstruct_image(
+                fft2(clean, "forward"), mask, transform,
                 config["ista_lambda"], config["ista_iters"], config["ista_tol"],
-            )
-            add("ista", ista_out, seconds)
+            ))
 
     timing = {
         "train_robust_seconds": robust_seconds,
@@ -156,35 +156,21 @@ def run_benchmark(config: RunConfig, outdir) -> BenchResult:
         )
 
     _write_outputs(config, outdir, reports, timing)
-    return BenchResult(reports=reports, timing=timing, config=config)
-
-
-def _header(config: RunConfig) -> str:
-    return "".join(f"# {line}\n" for line in config.canonical_text().splitlines())
+    return BenchResult(reports=reports, timing=timing)
 
 
 def _write_outputs(config, outdir, reports, timing):
-    header = _header(config)
+    header = "".join(f"# {line}\n" for line in config.canonical_text().splitlines())
+
+    def write(name, body):
+        atomic_write_bytes(os.path.join(outdir, name), (header + body).encode())
+
     for method, report in reports.items():
-        body = report.to_csv(include_seconds=False)
-        atomic_write_bytes(os.path.join(outdir, f"{method}.csv"), (header + body).encode())
-    summary = ["method,nmse_mean,nmse_std,psnr_mean,psnr_std,ssim_mean,ssim_std"]
+        write(f"{method}.csv", report.to_csv())
+    summary = ["method," + ",".join(f"{m}_{s}" for m in METRICS for s in ("mean", "std"))]
     for method, report in reports.items():
-        summary.append(
-            method + "," + ",".join(
-                repr(v) for v in (
-                    report.mean("nmse"), report.std("nmse"),
-                    report.mean("psnr"), report.std("psnr"),
-                    report.mean("ssim"), report.std("ssim"),
-                )
-            )
-        )
-    atomic_write_bytes(
-        os.path.join(outdir, "summary.csv"),
-        (header + "\n".join(summary) + "\n").encode(),
-    )
+        values = (f(m) for m in METRICS for f in (report.mean, report.std))
+        summary.append(method + "," + ",".join(repr(v) for v in values))
+    write("summary.csv", "\n".join(summary) + "\n")
     lines = ["label,seconds"] + [f"{k},{repr(v)}" for k, v in timing.items()]
-    atomic_write_bytes(
-        os.path.join(outdir, "timing.csv"),
-        (header + "\n".join(lines) + "\n").encode(),
-    )
+    write("timing.csv", "\n".join(lines) + "\n")

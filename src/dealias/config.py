@@ -3,12 +3,13 @@
 ``DEFAULTS`` is the single source of every setting: ``dealias bench``
 resolves it, and the ``degrade``/``train``/``cs-recon`` flags take their
 defaults from it.  A config file holds one ``key=value`` pair per line
-(``#`` comments allowed).  Unknown keys are rejected; values are coerced
-to the type of the key's default, and enumerated keys must take one of
-their ``CHOICES``.  Command-line overrides win over file values.  The
-fully resolved configuration prints back as a canonical sorted listing
-that is embedded as a comment header in every report, so any run can be
-reproduced from its own outputs.
+(``#`` comments allowed).  Unknown keys are rejected; every value, from a
+file, ``--set`` or Python, is coerced from its ``str`` form to the type of
+the key's default, and enumerated keys must take one of their ``CHOICES``.
+Command-line overrides win over file values.  The fully resolved
+configuration prints back as a canonical sorted listing that is embedded
+as a comment header in every report, so any run can be reproduced from
+its own outputs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from .autoencoder import ACTIVATIONS, BREGMAN_UPDATES, LATENT_UPDATES, TrainConfig
 from .pipeline import MODALITIES, DegradationSpec
-from .transforms import MASK_KINDS, TRANSFORM_KINDS
+from .transforms import MASK_KINDS, MASK_PARAMS, TRANSFORM_KINDS
 
 DEFAULTS = {
     # procedural corpus (used when no explicit manifests are given)
@@ -80,6 +81,9 @@ CHOICES = {
 
 
 def _coerce(key: str, text: str):
+    # report headers are '#'-commented lines: these would not read back
+    if "#" in text or "".join(text.splitlines()) != text:
+        raise ValueError(f"config key {key!r}: {text!r} contains '#' or a line break")
     default = DEFAULTS[key]
     if isinstance(default, bool):
         lowered = text.strip().lower()
@@ -88,10 +92,12 @@ def _coerce(key: str, text: str):
         if lowered in ("0", "false", "no"):
             return False
         raise ValueError(f"config key {key!r}: expected a boolean, got {text!r}")
-    if isinstance(default, int):
-        return int(text)
-    if isinstance(default, float):
-        return float(text)
+    if isinstance(default, (int, float)):
+        try:
+            return type(default)(text)
+        except ValueError:
+            kind = type(default).__name__
+            raise ValueError(f"config key {key!r}: expected {kind}, got {text!r}") from None
     value = text.strip()
     if key in CHOICES and value not in CHOICES[key]:
         raise ValueError(
@@ -113,10 +119,9 @@ class RunConfig:
 
 
 def _render(value) -> str:
+    # resolved values are builtin; str of a float is its shortest round trip
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -143,20 +148,15 @@ def load_config_file(path) -> dict:
 
 
 def resolve_config(file_values=None, overrides=None) -> RunConfig:
-    """Defaults, then file values, then overrides; returns the frozen result."""
+    """Defaults, then file values, then overrides, each value coerced from
+    its ``str`` form whatever its type; returns the frozen result."""
     values = dict(DEFAULTS)
     for source in (file_values, overrides):
         if source:
             for key, val in source.items():
                 if key not in DEFAULTS:
                     raise ValueError(f"unknown config key: {key!r}")
-                value = _coerce(key, val) if isinstance(val, str) else val
-                # report headers are '#'-commented lines: these would not read back
-                if isinstance(value, str) and any(c in value for c in "#\r\n"):
-                    raise ValueError(
-                        f"config key {key!r}: {value!r} contains '#' or a line break"
-                    )
-                values[key] = value
+                values[key] = _coerce(key, str(val))
     return RunConfig(values)
 
 
@@ -196,12 +196,8 @@ def degradation_spec(run) -> DegradationSpec:
     modality, seed = run["modality"], run["degrade_seed"]
     if modality == "mri":
         kind = run["mask_kind"]
-        params = {
-            "random": {"fraction": run["mask_fraction"]},
-            "variable-density": {"decay": run["mask_decay"]},
-            "radial": {"lines": run["mask_lines"]},
-            "periodic": {"stride": run["mask_stride"]},
-        }[kind]
+        name = MASK_PARAMS[kind].name
+        params = {name: run[f"mask_{name}"]}
         return DegradationSpec("mri", mask_kind=kind, mask_params=params, seed=seed)
     if modality == "ct":
         return DegradationSpec("ct", ct_spacing_deg=run["ct_spacing_deg"], seed=seed)

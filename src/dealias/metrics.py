@@ -17,6 +17,7 @@ from .core import ensure_image
 
 _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
+METRICS = ("nmse", "psnr", "ssim")  # the columns of every metric report
 
 
 def _pair(estimate, reference):
@@ -83,7 +84,6 @@ class MetricRow:
     nmse: float
     psnr: float
     ssim: float
-    seconds: float = 0.0
 
 
 @dataclass
@@ -92,10 +92,8 @@ class MetricReport:
 
     rows: list
 
-    _METRICS = ("nmse", "psnr", "ssim", "seconds")
-
     def _column(self, metric):
-        if metric not in self._METRICS:
+        if metric not in METRICS:
             raise ValueError(f"unknown metric: {metric!r}")
         return np.asarray([getattr(row, metric) for row in self.rows])
 
@@ -105,16 +103,15 @@ class MetricReport:
     def std(self, metric) -> float:
         return float(self._column(metric).std())
 
-    def to_csv(self, include_seconds: bool = True) -> str:
+    def to_csv(self) -> str:
         """Header row, one row per image, trailing mean and std rows.
 
         Floats are rendered with repr (shortest round-trip form) so equal
         values always serialize to equal bytes.
         """
-        metrics = ["nmse", "psnr", "ssim"] + (["seconds"] if include_seconds else [])
-        lines = ["name," + ",".join(metrics)]
+        lines = ["name," + ",".join(METRICS)]
         for row in self.rows:
-            lines.append(row.name + "," + ",".join(repr(getattr(row, m)) for m in metrics))
-        lines.append("mean," + ",".join(repr(self.mean(m)) for m in metrics))
-        lines.append("std," + ",".join(repr(self.std(m)) for m in metrics))
+            lines.append(row.name + "," + ",".join(repr(getattr(row, m)) for m in METRICS))
+        lines.append("mean," + ",".join(repr(self.mean(m)) for m in METRICS))
+        lines.append("std," + ",".join(repr(self.std(m)) for m in METRICS))
         return "\n".join(lines) + "\n"

@@ -18,7 +18,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .autoencoder import AutoencoderModel, TrainingSet
 from .core import SeededRng, ensure_image, read_tensor
-from .transforms import fbp_reconstruct, fft2, make_mask, radon_forward, zero_fill_invert
+from .transforms import (
+    fbp_reconstruct,
+    fft2,
+    make_mask,
+    mask_parameter,
+    radon_forward,
+    zero_fill_invert,
+)
 
 # the DegradationSpec fields each modality sets; all others stay None
 PARAMETER_GROUPS = {
@@ -37,7 +44,7 @@ TEST_SEED_OFFSET = 1_000_000
 class DegradationSpec:
     """One acquisition regime: exactly the matching parameter group is set.
 
-    mri: ``mask_kind``/``mask_params`` (see transforms.make_mask);
+    mri: ``mask_kind``/``mask_params`` (see transforms.MASK_PARAMS);
     ct: ``ct_spacing_deg`` between successive projection angles;
     impulse: ``impulse_fraction`` of pixels forced to 0 or 1.
     """
@@ -58,6 +65,8 @@ class DegradationSpec:
             raise ValueError(
                 f"exactly the {self.modality!r} parameter group must be populated"
             )
+        if self.modality == "mri":
+            mask_parameter(self.mask_kind, self.mask_params)
         if self.modality == "ct" and not 0 < self.ct_spacing_deg <= 180:
             raise ValueError("ct_spacing_deg must lie in (0, 180]")
         if self.modality == "impulse" and not 0 <= self.impulse_fraction <= 1:
@@ -138,6 +147,15 @@ def _patch_windows(arr, patch_size, stride):
     return sliding_window_view(arr, (patch_size, patch_size))[::stride, ::stride]
 
 
+def patch_stride(patch_size: int, overlap: bool) -> int:
+    """Patch grid stride: the patch size, or half of an even one in overlap mode."""
+    if patch_size < 4:
+        raise ValueError("patch_size must be at least 4")
+    if overlap and patch_size % 2:
+        raise ValueError("overlap mode needs an even patch_size")
+    return patch_size // 2 if overlap else patch_size
+
+
 def extract_patches(image, patch_size: int = 32, stride: int | None = None) -> PatchGrid:
     """Cut an image into flattened square patches in row-major order.
 
@@ -147,12 +165,9 @@ def extract_patches(image, patch_size: int = 32, stride: int | None = None) -> P
     multiple before cutting.
     """
     img = ensure_image(image)
-    if patch_size < 4:
-        raise ValueError("patch_size must be at least 4")
     if stride is None:
         stride = patch_size
-    half_ok = patch_size % 2 == 0 and stride == patch_size // 2
-    if stride != patch_size and not half_ok:
+    if stride != patch_stride(patch_size, overlap=stride != patch_size):
         raise ValueError("stride must equal patch_size or patch_size / 2")
     h, w = img.shape
     pad_bottom = _padded_length(h, patch_size, stride) - h
@@ -262,7 +277,7 @@ def build_training_set(
     entries = load_manifest(manifest) if isinstance(manifest, (str, os.PathLike)) else manifest
     if not entries:
         raise ValueError("empty manifest")
-    stride = patch_size // 2 if overlap else patch_size
+    stride = patch_stride(patch_size, overlap)
     inputs, targets = [], []
     for index, (clean_path, degraded_path) in enumerate(entries):
         clean = ensure_image(read_tensor(clean_path))
@@ -300,7 +315,7 @@ def reconstruct_image(
     ps = math.isqrt(dim)
     if ps * ps != dim:
         raise ValueError(f"model input dim {dim} is not a square patch")
-    stride = ps // 2 if overlap else ps
+    stride = patch_stride(ps, overlap)
     start = time.perf_counter()
     grid = extract_patches(img, ps, stride)
     outputs = model.forward(grid.patches.T).T

@@ -20,14 +20,24 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
 from .core import SeededRng, ensure_image, write_tensor
 
-MASK_KINDS = ("random", "variable-density", "radial", "periodic")
+
+# each mask kind's one parameter: name, type, range test, range as messages state it
+MaskParam = namedtuple("MaskParam", "name cast allowed rule")
+MASK_PARAMS = {
+    "random": MaskParam("fraction", float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "variable-density": MaskParam("decay", float, lambda v: v > 0, "positive"),
+    "radial": MaskParam("lines", int, lambda v: v >= 1, "at least 1"),
+    "periodic": MaskParam("stride", int, lambda v: v >= 1, "at least 1"),
+}
+MASK_KINDS = tuple(MASK_PARAMS)
 TRANSFORM_KINDS = ("haar-wavelet", "dct")
 
 
@@ -64,7 +74,6 @@ class SamplingMask:
 
     kind: str
     selected: np.ndarray
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         sel = np.asarray(self.selected, dtype=bool)
@@ -95,70 +104,62 @@ def _centered_distance(height, width):
     return np.hypot(fy[:, None], fx[None, :])
 
 
+def mask_parameter(kind, params):
+    """The value of a mask kind's one parameter; ValueError unless the kind,
+    the parameter's name and its range are those ``MASK_PARAMS`` gives."""
+    if kind not in MASK_PARAMS:
+        raise ValueError(f"unknown mask kind: {kind!r}")
+    name, cast, allowed, rule = MASK_PARAMS[kind]
+    extra = set(params) - {name}
+    if extra:
+        raise ValueError(f"unexpected mask params: {sorted(extra)}")
+    if name not in params:
+        raise ValueError(f"missing mask param {name!r}")
+    value = cast(params[name])
+    if not allowed(value):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
 def make_mask(kind, height, width, params, rng: SeededRng | None = None) -> SamplingMask:
     """Build a sampling mask.
 
-    params by kind: random -> {"fraction": p in (0, 1]};
-    variable-density -> {"decay": exponent > 0} with selection probability
-    (1 + distance-from-DC)**(-decay); radial -> {"lines": L >= 1} straight
-    lines through DC at uniformly spaced angles; periodic -> {"stride": k}
-    selecting every k-th row.  The DC location is always selected.
+    ``params`` holds the kind's one parameter, as ``MASK_PARAMS`` names and
+    bounds it: random selects each location with probability ``fraction``;
+    variable-density with probability (1 + distance-from-DC)**(-decay);
+    radial selects ``lines`` straight lines through DC at uniformly spaced
+    angles; periodic selects every ``stride``-th row.  The DC location is
+    always selected.
     """
     if height <= 0 or width <= 0:
         raise ValueError("mask dims must be positive")
-    if kind not in MASK_KINDS:
-        raise ValueError(f"unknown mask kind: {kind!r}")
+    value = mask_parameter(kind, params)
 
     selected = np.zeros((height, width), dtype=bool)
-    if kind == "random":
-        p = _param(params, "fraction", float)
-        if not 0.0 < p <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
+    if kind in ("random", "variable-density"):
         if rng is None:
-            raise ValueError("random mask requires an rng")
-        draws = rng.uniform(height * width).reshape(height, width)
-        selected = draws < p
-    elif kind == "variable-density":
-        decay = _param(params, "decay", float)
-        if decay <= 0:
-            raise ValueError("decay must be positive")
-        if rng is None:
-            raise ValueError("variable-density mask requires an rng")
-        prob = (1.0 + _centered_distance(height, width)) ** (-decay)
-        draws = rng.uniform(height * width).reshape(height, width)
-        selected = draws < prob
+            raise ValueError(f"{kind} mask requires an rng")
+        prob = value  # the random kind's fraction
+        if kind == "variable-density":
+            prob = (1.0 + _centered_distance(height, width)) ** (-value)
+        selected = rng.uniform(height * width).reshape(height, width) < prob
     elif kind == "radial":
-        lines = _param(params, "lines", int)
-        if lines < 1:
-            raise ValueError("lines must be at least 1")
         centered = np.zeros((height, width), dtype=bool)
         cy, cx = height // 2, width // 2
         reach = math.hypot(height, width)
         ts = np.arange(-reach, reach + 0.25, 0.5)
-        for j in range(lines):
-            theta = math.pi * j / lines
+        for j in range(value):
+            theta = math.pi * j / value
             ys = np.rint(cy + ts * math.sin(theta)).astype(int)
             xs = np.rint(cx + ts * math.cos(theta)).astype(int)
             keep = (ys >= 0) & (ys < height) & (xs >= 0) & (xs < width)
             centered[ys[keep], xs[keep]] = True
         selected = np.fft.ifftshift(centered)
     elif kind == "periodic":
-        stride = _param(params, "stride", int)
-        if stride < 1:
-            raise ValueError("stride must be at least 1")
-        selected[::stride, :] = True
+        selected[::value, :] = True
 
     selected[0, 0] = True
-    return SamplingMask(kind=kind, selected=selected, params=dict(params))
-
-
-def _param(params, key, cast):
-    extra = set(params) - {key}
-    if extra:
-        raise ValueError(f"unexpected mask params: {sorted(extra)}")
-    if key not in params:
-        raise ValueError(f"missing mask param {key!r}")
-    return cast(params[key])
+    return SamplingMask(kind=kind, selected=selected)
 
 
 def zero_fill_invert(kspace, mask: SamplingMask) -> np.ndarray:

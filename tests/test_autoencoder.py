@@ -618,6 +618,35 @@ class TestL2Baseline:
             rel = np.abs(exact - approx) / np.maximum(np.abs(exact), 1e-6)
             assert rel.max() < 1e-5
 
+    def test_gradients_match_unfused_expression(self):
+        # the residual is formed, squared and doubled in place; doubling is
+        # exact, so both gradients keep the bits of the plain expression
+        tset = toy_training_set(dim=16, count=40, seed=11)
+        model = _initial_weights(16, d.TrainConfig(hidden=6, seed=4))
+        z = activate(model.w_enc @ tset.x_in, model.activation)
+        residual = model.w_dec @ z - tset.x_out
+        g_out = 2.0 * residual
+        g_dec = g_out @ z.T
+        g_hidden = (model.w_dec.T @ g_out) * (1.0 - z * z)
+        g_enc = g_hidden @ tset.x_in.T
+        loss, got_enc, got_dec = l2_loss_and_grads(model, tset)
+        assert got_enc.tobytes() == g_enc.tobytes()
+        assert got_dec.tobytes() == g_dec.tobytes()
+        assert loss == pytest.approx(float((residual * residual).sum()), rel=1e-14)
+
+    def test_epoch_holds_one_residual_array(self):
+        dim, count, hidden = 256, 4000, 32
+        tset = toy_training_set(dim=dim, count=count, seed=12)
+        model = _initial_weights(dim, d.TrainConfig(hidden=hidden, seed=0))
+        l2_loss_and_grads(model, tset)  # warm-up
+        tracemalloc.start()
+        try:
+            l2_loss_and_grads(model, tset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * dim * count * 8
+
     def test_zero_learning_rate_keeps_initialization(self):
         tset = toy_training_set(dim=6, count=8, seed=8)
         config = d.TrainConfig(hidden=4, seed=3, learning_rate=0.0, epochs=10)

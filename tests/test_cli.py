@@ -12,6 +12,7 @@ from dealias.config import (
     DEFAULTS,
     config_from_report_header,
     degradation_spec,
+    parse_config_lines,
     resolve_config,
     train_config,
 )
@@ -140,6 +141,25 @@ class TestConfig:
         # report headers are '#'-commented key=value lines
         with pytest.raises(ValueError, match="corpus_dir"):
             resolve_config(overrides={"corpus_dir": value})
+
+    def test_numpy_scalar_header_reads_back(self):
+        text = resolve_config(overrides={"lambda": np.float64(20.0)}).canonical_text()
+        assert "lambda=20.0\n" in text
+        assert parse_config_lines(text.splitlines())["lambda"] == 20.0
+
+    @pytest.mark.parametrize("key, value", [("hidden", 2.5), ("corpus_count", True)])
+    def test_off_type_value_rejected_naming_key(self, key, value):
+        with pytest.raises(ValueError, match=repr(key)):
+            resolve_config(overrides={key: value})
+
+    def test_int_for_float_key_header_is_fixed_point(self):
+        text = resolve_config(overrides={"lambda": 20}).canonical_text()
+        assert "lambda=20.0\n" in text
+        assert resolve_config(parse_config_lines(text.splitlines())).canonical_text() == text
+
+    def test_non_string_enumerated_value_rejected(self):
+        with pytest.raises(ValueError, match="'mask_kind': expected one of"):
+            resolve_config(overrides={"mask_kind": 5})
 
     def test_file_and_override_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -310,9 +330,20 @@ class TestBench:
         with pytest.raises(ValueError, match="share images"):
             run_benchmark(config, tmp_path / "out")
 
-    def test_bad_setting_fails_before_any_work(self, tmp_path):
+    @pytest.mark.parametrize("settings", [
+        ["wavelet_levels=0"],
+        ["patch_size=3"],
+        ["patch_size=5", "overlap=true"],
+        ["ista_lambda=-1"],
+        ["timing_reps=0"],
+        ["mask_fraction=5"],
+        ["mask_kind=radial", "mask_lines=0"],
+    ], ids=" ".join)
+    def test_bad_setting_fails_before_any_work(self, tmp_path, settings):
         out = tmp_path / "out"
-        argv = bench_args(tmp_path, out) + ["--set", "wavelet_levels=0"]
+        argv = bench_args(tmp_path, out)
+        for setting in settings:
+            argv += ["--set", setting]
         assert command_dispatch(argv) == 2
         assert not out.exists()
 

@@ -127,9 +127,9 @@ class TestMetricReport:
     def _report(self):
         return MetricReport(
             rows=[
-                MetricRow("a", 0.5, 10.0, 0.9, 1.5),
-                MetricRow("b", 0.3, 14.0, 0.95, 2.0),
-                MetricRow("c", 0.4, 12.0, 0.8, 1.0),
+                MetricRow("a", 0.5, 10.0, 0.9),
+                MetricRow("b", 0.3, 14.0, 0.95),
+                MetricRow("c", 0.4, 12.0, 0.8),
             ]
         )
 
@@ -142,16 +142,17 @@ class TestMetricReport:
     def test_csv_layout(self):
         text = report = self._report().to_csv()
         lines = text.strip().split("\n")
-        assert lines[0] == "name,nmse,psnr,ssim,seconds"
+        assert lines[0] == "name,nmse,psnr,ssim"
         assert len(lines) == 6
         assert lines[-2].startswith("mean,")
         assert lines[-1].startswith("std,")
 
-    def test_csv_without_seconds_is_deterministic(self):
-        a = self._report().to_csv(include_seconds=False)
-        b = self._report().to_csv(include_seconds=False)
-        assert "seconds" not in a.split("\n")[0]
-        assert a == b
+    def test_csv_is_deterministic(self):
+        assert self._report().to_csv() == self._report().to_csv()
+
+    def test_seconds_is_not_a_metric(self):
+        with pytest.raises(ValueError, match="unknown metric"):
+            self._report().mean("seconds")
 
     def test_csv_floats_roundtrip(self):
         text = self._report().to_csv()

@@ -41,6 +41,30 @@ class TestDegradationSpec:
         with pytest.raises(ValueError):
             DegradationSpec("impulse", impulse_fraction=1.5)
 
+    # per mask kind: an out-of-range, a misnamed and an extra parameter
+    @pytest.mark.parametrize("kind, params", [
+        ("random", {"fraction": 5.0}),
+        ("random", {"fraction": 0.0}),
+        ("random", {"frac": 0.5}),
+        ("random", {"fraction": 0.5, "decay": 1.0}),
+        ("variable-density", {"decay": 0.0}),
+        ("variable-density", {"fraction": 1.0}),
+        ("variable-density", {"decay": 1.0, "lines": 3}),
+        ("radial", {"lines": 0}),
+        ("radial", {"line": 8}),
+        ("radial", {"lines": 8, "stride": 2}),
+        ("periodic", {"stride": 0}),
+        ("periodic", {"lines": 2}),
+        ("periodic", {"stride": 2, "oops": 1}),
+        ("checkerboard", {}),
+    ])
+    def test_mask_params_rejected_as_make_mask_rejects_them(self, kind, params):
+        with pytest.raises(ValueError) as from_mask:
+            d.make_mask(kind, 16, 16, params, SeededRng(0))
+        with pytest.raises(ValueError) as from_spec:
+            DegradationSpec("mri", mask_kind=kind, mask_params=params)
+        assert str(from_spec.value) == str(from_mask.value)
+
 
 class TestDegrade:
     def test_impulse_zero_fraction_is_identity(self):

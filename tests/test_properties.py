@@ -1,6 +1,6 @@
 """Invariants of the patch, projection, Fourier and sparsifying kernels, the
-encoder update, the RNG stream, and the tensor and config file formats over
-randomized shapes and values."""
+encoder update, the RNG stream, and the tensor, model bundle and config file
+formats over randomized shapes and values."""
 
 import os
 import tempfile
@@ -18,11 +18,14 @@ from hypothesis.extra import numpy as hnp
 from dealias import transforms
 from dealias.autoencoder import (
     ACTIVATIONS,
+    AutoencoderModel,
     TrainConfig,
     TrainingSet,
     _gram_factor,
     _initial_state,
     _initial_weights,
+    load_model,
+    save_model,
     update_encoder,
 )
 from dealias.config import CHOICES, DEFAULTS, parse_config_lines, resolve_config
@@ -300,9 +303,40 @@ def test_tensor_file_round_trip(tensor):
     assert back.tobytes() == values.tobytes()
 
 
+@given(
+    d=st.integers(1, 40),
+    h=st.integers(1, 16),
+    activation=st.sampled_from(ACTIVATIONS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_model_bundle_round_trip(d, h, activation, seed):
+    # the bundle stores float32 weights: loading gives exactly the weights
+    # rounded to float32, and forward moves by at most that rounding
+    rng = SeededRng(seed)
+    model = AutoencoderModel(rng.normal((h, d + 1)), rng.normal((d, h)), activation)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(model, tmp)
+        loaded = load_model(tmp)
+    assert loaded.activation == activation
+    for got, want in ((loaded.w_enc, model.w_enc), (loaded.w_dec, model.w_dec)):
+        assert got.tobytes() == want.astype(np.float32).astype(np.float64).tobytes()
+    x = rng.uniform(d * 3).reshape(d, 3)
+    # first-order bound on |forward| change from relative weight errors of
+    # 2**-24; both activations have slope at most 1
+    xb = np.vstack([np.abs(x), np.ones((1, 3))])
+    z = np.abs(model.encode(x))
+    dec = np.abs(model.w_dec)
+    bound = 2.0**-24 * (dec @ z + dec @ (np.abs(model.w_enc) @ xb))
+    assert np.all(np.abs(loaded.forward(x) - model.forward(x)) <= 2 * bound)
+
+
 # config strings are written verbatim and read back stripped, with '#'
 # starting a comment, so they are drawn from characters that survive that
 CONFIG_TEXT = st.text("abcXYZ019_-./", max_size=12)
+
+
+INTS = st.integers(-(2**40), 2**40)
+FLOATS = st.floats(allow_nan=False)
 
 
 def config_value(key):
@@ -312,19 +346,44 @@ def config_value(key):
     if isinstance(default, bool):
         return st.booleans()
     if isinstance(default, int):
-        return st.integers(-(2**40), 2**40)
+        return INTS
     if isinstance(default, float):
-        return st.floats(allow_nan=False)
+        return FLOATS
     return CONFIG_TEXT
 
 
+# values of another type than the key's default, as Python callers pass them
+OFF_TYPE_VALUES = st.one_of(
+    INTS,
+    FLOATS,
+    st.booleans(),
+    INTS.map(np.int64),
+    FLOATS.map(np.float64),
+    st.booleans().map(np.bool_),
+)
+
+
+def config_overrides(value):
+    return st.sets(st.sampled_from(sorted(DEFAULTS))).flatmap(
+        lambda keys: st.fixed_dictionaries({k: value(k) for k in sorted(keys)})
+    )
+
+
 @given(
-    st.sets(st.sampled_from(sorted(DEFAULTS))).flatmap(
-        lambda keys: st.fixed_dictionaries({k: config_value(k) for k in sorted(keys)})
+    st.one_of(
+        config_overrides(config_value),
+        config_overrides(lambda k: st.one_of(config_value(k), OFF_TYPE_VALUES)),
     )
 )
 def test_config_canonical_text_round_trip(overrides):
-    text = resolve_config(overrides=overrides).canonical_text()
+    # a value either fails naming its key, or resolves to a header whose
+    # parse -> resolve -> render is a fixed point
+    try:
+        resolved = resolve_config(overrides=overrides)
+    except ValueError as exc:
+        assert any(repr(key) in str(exc) for key in overrides)
+        return
+    text = resolved.canonical_text()
     again = resolve_config(parse_config_lines(text.splitlines()))
     assert again.canonical_text() == text
-    assert again.values == resolve_config(overrides=overrides).values
+    assert again.values == resolved.values
