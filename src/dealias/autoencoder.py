@@ -303,12 +303,12 @@ class TrainConfig:
     """Robust-trainer and l2-baseline settings.
 
     ``mu`` weights the second penalty term and affects ``coupled`` runs
-    only: an anchored run has no such term.  :func:`dealias.config.train_config`
-    is the supported way to build one; it takes every value from
-    ``config.DEFAULTS``, and each field default here equals its
-    ``DEFAULTS`` value.  The pinned ``SPLIT_STEP_HISTORY_SEED0`` regression
-    relies on the ``ridge_eps``, ``activation``, ``bregman_update`` and
-    ``latent_update`` defaults.
+    only: an anchored run has no such term.  The field defaults are the
+    trainer defaults of ``config.DEFAULTS``, which reads them from here
+    through ``config.TRAIN_FIELDS`` and coerces each key to its default's
+    type, so a float default is written as a float.  The pinned
+    ``SPLIT_STEP_HISTORY_SEED0`` regression relies on the ``ridge_eps``,
+    ``activation``, ``bregman_update`` and ``latent_update`` defaults.
     """
 
     hidden: int = 256
@@ -325,18 +325,21 @@ class TrainConfig:
     epochs: int = 200  # l2 baseline only
 
     def __post_init__(self):
-        if self.hidden < 1 or self.max_iter < 1:
-            raise ValueError("hidden and max_iter must be positive")
-        if min(self.lam, self.mu, self.ridge_eps) <= 0:
-            raise ValueError("lam, mu, ridge_eps must be positive")
+        # written so that NaN fails every check
+        if self.hidden < 1 or self.max_iter < 1 or self.epochs < 0:
+            raise ValueError("hidden and max_iter must be positive, epochs nonnegative")
+        if not all(0 < v < np.inf for v in (self.lam, self.mu, self.ridge_eps)):
+            raise ValueError("lam, mu, ridge_eps must be positive and finite")
+        if not self.rel_tol >= 0:
+            raise ValueError("rel_tol must be nonnegative")
         if self.bregman_update not in BREGMAN_UPDATES:
             raise ValueError(f"unknown bregman_update: {self.bregman_update!r}")
         if self.latent_update not in LATENT_UPDATES:
             raise ValueError(f"unknown latent_update: {self.latent_update!r}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation: {self.activation!r}")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be nonnegative and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -453,29 +456,31 @@ def update_decoder(model, tset, state, config):
 
 
 def update_latent(model, tset, state, config):
-    """P4: latent code solve.
+    """P4: latent code solve; the state's B2 selects the variant.
 
-    The default "coupled" mode minimizes both penalty terms jointly:
+    With B2 (coupled runs) it minimizes both penalty terms jointly:
 
         (lam W_dec^T W_dec + (mu + eps) I) Z = lam W_dec^T M + mu N
 
     with M = X_out - P + B1 and N = phi(W_enc X_in) + B2, which is the
-    exact block minimizer of the relaxed objective over Z.  The
-    "anchored" mode sets Z = N, the closed form of the second term
-    alone; it freezes the latent code to the encoder's output, which is
-    markedly more stable when samples are scarce.  Both modes compute
-    phi(W_enc X_in) through the state, where the residual pass finds it;
-    without B2 an anchored Z is that array itself.
+    exact block minimizer of the relaxed objective over Z.  Without B2
+    (anchored runs) it sets Z = phi(W_enc X_in), the closed form of the
+    second term alone; this freezes the latent code to the encoder's
+    output, which is markedly more stable when samples are scarce.  Both
+    compute phi(W_enc X_in) through the state, where the residual pass
+    finds it; an anchored Z is that array itself.  ``config.latent_update``
+    only decides whether :func:`_initial_state` gives a run B2, so a
+    hand-built state with B2 takes the coupled solve even under an
+    anchored config, and one without B2 anchors under a coupled config.
     """
     anchor = state.encoded_for(model, tset)
-    if state.b2 is not None:
-        anchor = anchor + state.b2
-    if config.latent_update == "anchored":
+    if state.b2 is None:
         state.z = anchor
         return
     gram = state.lam * (model.w_dec.T @ model.w_dec)
     gram[np.diag_indices_from(gram)] += state.mu + config.ridge_eps
-    rhs = state.lam * (model.w_dec.T @ state.decoder_target(tset)) + state.mu * anchor
+    rhs = state.lam * (model.w_dec.T @ state.decoder_target(tset))
+    rhs += state.mu * (anchor + state.b2)
     state.z = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs)
 
 

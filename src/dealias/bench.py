@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .autoencoder import train_l2_baseline, train_robust
-from .config import RunConfig, degradation_spec, train_config
+from .config import RunConfig, degradation_spec, sparsifying_transform, train_config
 from .core import SeededRng, atomic_write_bytes, random_phantom, read_tensor, write_tensor
 from .cs import cs_reconstruct_image
 from .metrics import METRICS, MetricReport, MetricRow, nmse, psnr, ssim
@@ -31,7 +31,7 @@ from .pipeline import (
     patch_stride,
     reconstruct_image,
 )
-from .transforms import SparsifyingTransform, fft2
+from .transforms import fft2
 
 METHODS = ("raw", "robust-ae", "l2-ae", "ista")
 
@@ -42,9 +42,10 @@ class BenchResult:
     timing: dict  # label -> seconds (plus the ista/robust-ae speed ratio)
 
 
-def _ensure_corpus(config: RunConfig, outdir):
-    """Resolve the train/test manifests, generating a procedural corpus
-    of seeded phantoms when explicit manifests are not configured."""
+def _corpus_split(config: RunConfig, outdir):
+    """The train and test entries: those of the configured manifests, or
+    the paths of a procedural corpus that :func:`_ensure_corpus` writes.
+    Writes nothing, so a bad setting fails before any output exists."""
     train_manifest, test_manifest = config["train_manifest"], config["test_manifest"]
     if bool(train_manifest) != bool(test_manifest):
         raise ValueError("set both train_manifest and test_manifest, or neither")
@@ -52,27 +53,28 @@ def _ensure_corpus(config: RunConfig, outdir):
         train = load_manifest(train_manifest)
         test = load_manifest(test_manifest)
     else:
-        corpus_dir = config["corpus_dir"]
-        if not os.path.isabs(corpus_dir):
-            corpus_dir = os.path.join(outdir, corpus_dir)
-        os.makedirs(corpus_dir, exist_ok=True)
-        count, size = config["corpus_count"], config["corpus_size"]
-        test_count = config["test_count"]
+        corpus_dir = os.path.join(outdir, config["corpus_dir"])
+        count, test_count = config["corpus_count"], config["test_count"]
         if count < 2 or not 0 < test_count < count:
             raise ValueError("need corpus_count >= 2 and 0 < test_count < corpus_count")
-        base = SeededRng(config["corpus_seed"])
-        paths = []
-        for i in range(count):
-            path = os.path.join(corpus_dir, f"img_{i:04d}.rdt")
-            write_tensor(path, random_phantom(size, base.split(i)))
-            paths.append(path)
+        paths = [os.path.join(corpus_dir, f"img_{i:04d}.rdt") for i in range(count)]
         train = [(p, None) for p in paths[: count - test_count]]
         test = [(p, None) for p in paths[count - test_count :]]
-    train_paths = {p for p, _ in train}
-    overlap_paths = train_paths & {p for p, _ in test}
+    overlap_paths = {p for p, _ in train} & {p for p, _ in test}
     if overlap_paths:
         raise ValueError(f"train/test splits share images: {sorted(overlap_paths)[:3]}")
     return train, test
+
+
+def _ensure_corpus(config: RunConfig, entries):
+    """Write the seeded phantoms of a procedural corpus, given all its
+    entries in order; explicit manifests need nothing written."""
+    if config["train_manifest"]:
+        return
+    os.makedirs(os.path.dirname(entries[0][0]), exist_ok=True)
+    base = SeededRng(config["corpus_seed"])
+    for i, (path, _) in enumerate(entries):
+        write_tensor(path, random_phantom(config["corpus_size"], base.split(i)))
 
 
 def _timed(fn, *args, **kwargs):
@@ -85,7 +87,7 @@ def run_benchmark(config: RunConfig, outdir) -> BenchResult:
     # settings that can be checked without the images fail before any work
     spec = degradation_spec(config)
     tconf = train_config(config)
-    transform = SparsifyingTransform(config["transform"], config["wavelet_levels"])
+    transform = sparsifying_transform(config)
     patch_size = config["patch_size"]
     overlap = config["overlap"]
     patch_stride(patch_size, overlap)
@@ -94,8 +96,9 @@ def run_benchmark(config: RunConfig, outdir) -> BenchResult:
         raise ValueError("ista_lambda must be nonnegative")
     if config["timing_reps"] < 1:
         raise ValueError("timing_reps must be at least 1")
+    train_entries, test_entries = _corpus_split(config, outdir)
     os.makedirs(outdir, exist_ok=True)
-    train_entries, test_entries = _ensure_corpus(config, outdir)
+    _ensure_corpus(config, train_entries + test_entries)
 
     tset = build_training_set(train_entries, spec, patch_size, config["train_overlap"])
     (robust_model, _), robust_seconds = _timed(train_robust, tset, tconf)

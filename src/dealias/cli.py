@@ -24,6 +24,7 @@ from .config import (
     degradation_spec,
     load_config_file,
     resolve_config,
+    sparsifying_transform,
     train_config,
 )
 from .core import (
@@ -38,60 +39,48 @@ from .core import (
 from .cs import cs_reconstruct_image
 from .metrics import nmse, psnr, ssim
 from .pipeline import build_mask, build_training_set, degrade, reconstruct_image
-from .transforms import SparsifyingTransform, fft2, save_mask
+from .transforms import fft2, save_mask
 
-# (flag, config key) of every flag a subcommand takes from config.DEFAULTS;
-# each flag's type, default and choices are those of its key
-_DEGRADATION_FLAGS = (
-    ("--modality", "modality"),
-    ("--mask-kind", "mask_kind"),
-    ("--mask-fraction", "mask_fraction"),
-    ("--mask-decay", "mask_decay"),
-    ("--mask-lines", "mask_lines"),
-    ("--mask-stride", "mask_stride"),
-    ("--ct-spacing", "ct_spacing_deg"),
-    ("--impulse-fraction", "impulse_fraction"),
-    ("--seed", "degrade_seed"),
+# the config keys each subcommand takes as flags, with type, default and
+# choices from config.DEFAULTS; the key foo_bar is the flag --foo-bar
+# unless _FLAG_NAMES names it otherwise
+_DEGRADATION_KEYS = (
+    "modality", "mask_kind", "mask_fraction", "mask_decay", "mask_lines",
+    "mask_stride", "ct_spacing_deg", "impulse_fraction", "degrade_seed",
 )
-_CONFIG_FLAGS = {
-    "degrade": _DEGRADATION_FLAGS,
+_CONFIG_KEYS = {
+    "degrade": _DEGRADATION_KEYS,
     "train": (
-        ("--hidden", "hidden"),
-        ("--lambda", "lambda"),
-        ("--mu", "mu"),
-        ("--max-iter", "max_iter"),
-        ("--rel-tol", "rel_tol"),
-        ("--activation", "activation"),
-        ("--bregman", "bregman_update"),
-        ("--latent", "latent_update"),
-        ("--train-seed", "train_seed"),
-        ("--learning-rate", "l2_learning_rate"),
-        ("--epochs", "l2_epochs"),
-        ("--patch-size", "patch_size"),
-    ) + _DEGRADATION_FLAGS,
+        "hidden", "lambda", "mu", "max_iter", "rel_tol", "activation",
+        "bregman_update", "latent_update", "train_seed", "l2_learning_rate",
+        "l2_epochs", "patch_size",
+    ) + _DEGRADATION_KEYS,
     "cs-recon": (
-        ("--lambda", "ista_lambda"),
-        ("--iters", "ista_iters"),
-        ("--tol", "ista_tol"),
-        ("--transform", "transform"),
-        ("--levels", "wavelet_levels"),
-    ) + _DEGRADATION_FLAGS,
+        "ista_lambda", "ista_iters", "ista_tol", "transform", "wavelet_levels",
+    ) + _DEGRADATION_KEYS,
+}
+_FLAG_NAMES = {
+    "degrade_seed": "--seed", "ct_spacing_deg": "--ct-spacing",
+    "bregman_update": "--bregman", "latent_update": "--latent",
+    "l2_learning_rate": "--learning-rate", "l2_epochs": "--epochs",
+    "ista_lambda": "--lambda", "ista_iters": "--iters", "ista_tol": "--tol",
+    "wavelet_levels": "--levels",
 }
 
 
 def _add_config_flags(parser, command):
-    for flag, key in _CONFIG_FLAGS[command]:
+    for key in _CONFIG_KEYS[command]:
         default = DEFAULTS[key]
         parser.add_argument(
-            flag, dest=key, type=type(default), default=default,
-            choices=CHOICES.get(key),
+            _FLAG_NAMES.get(key, "--" + key.replace("_", "-")),
+            dest=key, type=type(default), default=default, choices=CHOICES.get(key),
         )
 
 
 def _run_config(args):
     """The resolved config that a subcommand's config-backed flags select."""
-    flags = _CONFIG_FLAGS[args.command]
-    return resolve_config(overrides={key: getattr(args, key) for _, key in flags})
+    keys = _CONFIG_KEYS[args.command]
+    return resolve_config(overrides={key: getattr(args, key) for key in keys})
 
 
 def _build_parser():
@@ -205,9 +194,8 @@ def _cmd_cs_recon(args):
         raise ValueError("cs-recon supports the mri modality only")
     image = read_tensor(args.image)
     mask = build_mask(degradation_spec(run), *image.shape)
-    transform = SparsifyingTransform(run["transform"], run["wavelet_levels"])
     result = cs_reconstruct_image(
-        fft2(image, "forward"), mask, transform,
+        fft2(image, "forward"), mask, sparsifying_transform(run),
         run["ista_lambda"], run["ista_iters"], run["ista_tol"],
     )
     write_tensor(args.out, result)

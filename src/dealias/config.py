@@ -2,11 +2,12 @@
 
 ``DEFAULTS`` is the single source of every setting: ``dealias bench``
 resolves it, and the ``degrade``/``train``/``cs-recon`` flags take their
-defaults from it.  A config file holds one ``key=value`` pair per line
-(``#`` comments allowed).  Unknown keys are rejected; every value, from a
-file, ``--set`` or Python, is coerced from its ``str`` form to the type of
-the key's default, and enumerated keys must take one of their ``CHOICES``.
-Command-line overrides win over file values.  The fully resolved
+defaults from it; its trainer defaults are the ``TrainConfig`` field
+defaults.  A config file holds one ``key=value`` pair per line (``#``
+comments allowed).  Unknown keys are rejected; every value, from a file,
+``--set`` or Python, is coerced from its ``str`` form to the type of the
+key's default, numbers must be finite, and enumerated keys must take one
+of their ``CHOICES``.  Command-line overrides win over file values.  The fully resolved
 configuration prints back as a canonical sorted listing that is embedded
 as a comment header in every report, so any run can be reproduced from
 its own outputs.
@@ -14,11 +15,21 @@ its own outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .autoencoder import ACTIVATIONS, BREGMAN_UPDATES, LATENT_UPDATES, TrainConfig
 from .pipeline import MODALITIES, DegradationSpec
-from .transforms import MASK_KINDS, MASK_PARAMS, TRANSFORM_KINDS
+from .transforms import MASK_KINDS, MASK_PARAMS, TRANSFORM_KINDS, SparsifyingTransform
+
+# TrainConfig field -> config key, where the two names differ
+_FIELD_KEYS = {
+    "lam": "lambda", "seed": "train_seed",
+    "learning_rate": "l2_learning_rate", "epochs": "l2_epochs",
+}
+# config key -> TrainConfig field of each trainer setting, in field order
+TRAIN_FIELDS = {_FIELD_KEYS.get(f.name, f.name): f.name for f in fields(TrainConfig)}
+_TRAIN_DEFAULTS = TrainConfig()
 
 DEFAULTS = {
     # procedural corpus (used when no explicit manifests are given)
@@ -44,20 +55,8 @@ DEFAULTS = {
     "patch_size": 32,
     "overlap": False,
     "train_overlap": False,
-    # robust trainer
-    "hidden": 256,
-    "lambda": 1.0,
-    "mu": 1.0,
-    "max_iter": 500,
-    "rel_tol": 1e-4,
-    "ridge_eps": 1e-6,
-    "activation": "tanh",
-    "bregman_update": "reflective",
-    "latent_update": "coupled",
-    "train_seed": 0,
-    # l2 baseline
-    "l2_learning_rate": 1e-4,
-    "l2_epochs": 200,
+    # robust trainer and l2 baseline: the TrainConfig field defaults
+    **{key: getattr(_TRAIN_DEFAULTS, field) for key, field in TRAIN_FIELDS.items()},
     # compressed-sensing solver
     "ista_lambda": 0.02,
     "ista_iters": 200,
@@ -94,10 +93,13 @@ def _coerce(key: str, text: str):
         raise ValueError(f"config key {key!r}: expected a boolean, got {text!r}")
     if isinstance(default, (int, float)):
         try:
-            return type(default)(text)
+            value = type(default)(text)
         except ValueError:
+            value = math.nan
+        if not -math.inf < value < math.inf:
             kind = type(default).__name__
-            raise ValueError(f"config key {key!r}: expected {kind}, got {text!r}") from None
+            raise ValueError(f"config key {key!r}: expected a finite {kind}, got {text!r}")
+        return value
     value = text.strip()
     if key in CHOICES and value not in CHOICES[key]:
         raise ValueError(
@@ -175,20 +177,12 @@ def config_from_report_header(path) -> RunConfig:
 
 def train_config(run) -> TrainConfig:
     """Robust-trainer and l2-baseline settings of a resolved config."""
-    return TrainConfig(
-        hidden=run["hidden"],
-        lam=run["lambda"],
-        mu=run["mu"],
-        max_iter=run["max_iter"],
-        rel_tol=run["rel_tol"],
-        ridge_eps=run["ridge_eps"],
-        activation=run["activation"],
-        bregman_update=run["bregman_update"],
-        latent_update=run["latent_update"],
-        seed=run["train_seed"],
-        learning_rate=run["l2_learning_rate"],
-        epochs=run["l2_epochs"],
-    )
+    return TrainConfig(**{field: run[key] for key, field in TRAIN_FIELDS.items()})
+
+
+def sparsifying_transform(run) -> SparsifyingTransform:
+    """The compressed-sensing solver's transform a resolved config selects."""
+    return SparsifyingTransform(run["transform"], run["wavelet_levels"])
 
 
 def degradation_spec(run) -> DegradationSpec:

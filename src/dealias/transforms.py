@@ -19,6 +19,7 @@ the same order and give the same bits.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from collections import namedtuple
 from dataclasses import dataclass
@@ -34,8 +35,8 @@ MaskParam = namedtuple("MaskParam", "name cast allowed rule")
 MASK_PARAMS = {
     "random": MaskParam("fraction", float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "variable-density": MaskParam("decay", float, lambda v: v > 0, "positive"),
-    "radial": MaskParam("lines", int, lambda v: v >= 1, "at least 1"),
-    "periodic": MaskParam("stride", int, lambda v: v >= 1, "at least 1"),
+    "radial": MaskParam("lines", operator.index, lambda v: v >= 1, "an integer >= 1"),
+    "periodic": MaskParam("stride", operator.index, lambda v: v >= 1, "an integer >= 1"),
 }
 MASK_KINDS = tuple(MASK_PARAMS)
 TRANSFORM_KINDS = ("haar-wavelet", "dct")
@@ -115,9 +116,15 @@ def mask_parameter(kind, params):
         raise ValueError(f"unexpected mask params: {sorted(extra)}")
     if name not in params:
         raise ValueError(f"missing mask param {name!r}")
-    value = cast(params[name])
-    if not allowed(value):
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    # operator.index takes integers only, where int() truncates 2.5; bools
+    # pass both casts, so they are refused here
+    raw = params[name]
+    try:
+        value = None if isinstance(raw, (bool, np.bool_)) else cast(raw)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or not allowed(value):
+        raise ValueError(f"{name} must be {rule}, got {raw!r}")
     return value
 
 

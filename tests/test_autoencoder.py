@@ -177,6 +177,39 @@ class TestTrainingSet:
         assert np.all(tset.x_in[-1] == 1.0)
 
 
+class TestTrainConfig:
+    # a value per field that its check rejects, NaN first for each float
+    # field; any integer is a valid seed
+    @pytest.mark.parametrize("field, value", [
+        ("hidden", 0),
+        ("lam", np.nan),
+        ("mu", np.nan),
+        ("max_iter", 0),
+        ("rel_tol", np.nan),
+        ("ridge_eps", np.nan),
+        ("activation", "relu"),
+        ("bregman_update", "mirror"),
+        ("latent_update", "frozen"),
+        ("learning_rate", np.nan),
+        ("epochs", -1),
+        ("lam", np.inf),
+        ("mu", 0.0),
+        ("ridge_eps", -1e-6),
+        ("rel_tol", -1e-4),
+        ("learning_rate", np.inf),
+        ("learning_rate", -1e-4),
+    ])
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            d.TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("rel_tol", 0.0), ("rel_tol", np.inf), ("learning_rate", 0.0), ("epochs", 0),
+    ])
+    def test_boundary_values_accepted(self, field, value):
+        assert getattr(d.TrainConfig(**{field: value}), field) == value
+
+
 class TestSplitBregmanStep:
     def _setup(self, **overrides):
         settings = dict(hidden=8, lam=1.0, mu=1.0, max_iter=20, rel_tol=0.0, seed=0)
@@ -240,6 +273,39 @@ class TestSplitBregmanStep:
                 mu=state.mu,
             )
             assert penalty_objective(model, tset, trial_state) >= base - 1e-9
+
+
+class TestLatentVariantFromState:
+    """P4 takes its variant from the state's B2, not from the config."""
+
+    def _state(self, config, b2):
+        model = _initial_weights(5, config)
+        tset = d.TrainingSet.from_arrays(
+            SeededRng(300).uniform(25).reshape(5, 5), SeededRng(301).uniform(25).reshape(5, 5)
+        )
+        state = SplitBregmanState(
+            p=SeededRng(302).normal((5, 5)), z=SeededRng(303).normal((5, 5)),
+            b1=SeededRng(304).normal((5, 5)), b2=b2, lam=config.lam, mu=config.mu,
+        )
+        return model, tset, state
+
+    def test_state_with_b2_takes_coupled_solve_under_anchored_config(self):
+        config = d.TrainConfig(hidden=5, lam=1.3, mu=0.7, seed=1, latent_update="anchored")
+        model, tset, state = self._state(config, SeededRng(305).normal((5, 5)))
+        # the coupled normal-equation oracle of acceptance criterion 1
+        anchor = activate(model.w_enc @ tset.x_in, "tanh") + state.b2
+        target = tset.x_out - state.p + state.b1
+        gram = config.lam * model.w_dec.T @ model.w_dec + (config.mu + config.ridge_eps) * np.eye(5)
+        oracle = np.linalg.inv(gram) @ (config.lam * model.w_dec.T @ target + config.mu * anchor)
+        update_latent(model, tset, state, config)
+        assert np.abs(state.z - oracle).max() <= 1e-8 * np.abs(oracle).max()
+
+    def test_state_without_b2_anchors_under_coupled_config(self):
+        config = d.TrainConfig(hidden=5, lam=1.3, mu=0.7, seed=1, latent_update="coupled")
+        model, tset, state = self._state(config, None)
+        update_latent(model, tset, state, config)
+        assert state.z is state.encoded
+        assert np.array_equal(state.z, activate(model.w_enc @ tset.x_in, "tanh"))
 
 
 def split_step_tail(model, tset, state, config):

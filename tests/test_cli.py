@@ -338,6 +338,11 @@ class TestBench:
         ["timing_reps=0"],
         ["mask_fraction=5"],
         ["mask_kind=radial", "mask_lines=0"],
+        ["lambda=nan"],
+        ["rel_tol=nan"],
+        ["ista_lambda=nan"],
+        ["test_count=0"],
+        ["corpus_count=1"],
     ], ids=" ".join)
     def test_bad_setting_fails_before_any_work(self, tmp_path, settings):
         out = tmp_path / "out"
@@ -358,9 +363,11 @@ class TestBench:
     def test_half_specified_manifest_pair_rejected(self, tmp_path, key, capsys):
         manifest = tmp_path / "m.txt"
         manifest.write_text("only.rdt\n")
-        argv = bench_args(tmp_path, tmp_path / "out") + ["--set", f"{key}={manifest}"]
+        out = tmp_path / "out"
+        argv = bench_args(tmp_path, out) + ["--set", f"{key}={manifest}"]
         assert command_dispatch(argv) == 2
         assert "train_manifest and test_manifest" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_methods_in_summary(self, tmp_path):
         out = tmp_path / "run"

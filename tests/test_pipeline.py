@@ -56,6 +56,8 @@ class TestDegradationSpec:
         ("periodic", {"stride": 0}),
         ("periodic", {"lines": 2}),
         ("periodic", {"stride": 2, "oops": 1}),
+        ("radial", {"lines": 2.5}),
+        ("periodic", {"stride": True}),
         ("checkerboard", {}),
     ])
     def test_mask_params_rejected_as_make_mask_rejects_them(self, kind, params):
