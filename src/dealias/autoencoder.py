@@ -1,9 +1,9 @@
 """Single-layer de-aliasing autoencoder with a robust l1 reconstruction cost.
 
-The robust trainer splits the nonsmooth objective ||X_out - W' phi(W X_in)||_1
-with two auxiliary variables (the sparse residual P and the latent code Z),
-relaxes the two coupling constraints with quadratic penalties and relaxation
-variables B1/B2, and cycles four exact block solves:
+The robust trainer splits the nonsmooth objective ||X_out - W' phi(W X_in)||_1,
+with phi = tanh, using two auxiliary variables (the sparse residual P and the
+latent code Z), relaxes the two coupling constraints with quadratic penalties
+and relaxation variables B1/B2, and cycles four exact block solves:
 
     P1  sparse residual   -> soft thresholding at 1/(2 lambda)
     P2  encoder weights   -> ridge least squares against phi^-1(Z - B2);
@@ -35,52 +35,35 @@ from .core import (
     SeededRng,
     atomic_write_bytes,
     read_tensor,
+    require_integer,
     write_tensor,
 )
 
-ACTIVATIONS = ("tanh", "sigmoid")
 BREGMAN_UPDATES = ("reflective", "additive")
 LATENT_UPDATES = ("coupled", "anchored")
 CLAMP_EPS = 1e-6  # margin that keeps the inverse activation finite
+# the closed interval the inverse activation clamps its argument to
+_INVERSE_DOMAIN = (-1.0 + CLAMP_EPS, 1.0 - CLAMP_EPS)
 
 
 # ---------------------------------------------------------------------------
-# activations and shared numeric kernels
+# activation and shared numeric kernels
 # ---------------------------------------------------------------------------
 
 
-def activate(values, kind: str, direction: str = "forward"):
-    """Elementwise activation or its inverse.
+def activate(values, direction: str = "forward"):
+    """Elementwise tanh, the model's nonlinearity phi, or its inverse.
 
     The inverse is made total by clamping its argument ``CLAMP_EPS`` inside
-    the activation's open range (tanh: [-1+eps, 1-eps]; sigmoid: [eps, 1-eps]),
-    so out-of-range targets produce large but finite pre-activations.
+    tanh's open range, to [-1+eps, 1-eps], so out-of-range targets produce
+    large but finite pre-activations.
     """
     arr = np.asarray(values, dtype=np.float64)
-    if kind not in ACTIVATIONS:
-        raise ValueError(f"unknown activation: {kind!r}")
     if direction == "forward":
-        if kind == "tanh":
-            return np.tanh(arr)
-        return 1.0 / (1.0 + np.exp(-arr))
+        return np.tanh(arr)
     if direction == "inverse":
-        clipped = np.clip(arr, *_inverse_domain(kind))
-        if kind == "tanh":
-            return np.arctanh(clipped)
-        return np.log(clipped / (1.0 - clipped))
+        return np.arctanh(np.clip(arr, *_INVERSE_DOMAIN))
     raise ValueError(f"unknown direction: {direction!r}")
-
-
-def _inverse_domain(kind):
-    """The closed interval the inverse activation clamps its argument to."""
-    return (-1.0 + CLAMP_EPS if kind == "tanh" else CLAMP_EPS), 1.0 - CLAMP_EPS
-
-
-def _activation_derivative(activated, kind):
-    # derivative expressed through the activated value
-    if kind == "tanh":
-        return 1.0 - activated * activated
-    return activated * (1.0 - activated)
 
 
 def soft_threshold(values, tau: float):
@@ -131,13 +114,10 @@ class AutoencoderModel:
 
     w_enc: np.ndarray
     w_dec: np.ndarray
-    activation: str = "tanh"
 
     def __post_init__(self):
         self.w_enc = np.asarray(self.w_enc, dtype=np.float64)
         self.w_dec = np.asarray(self.w_dec, dtype=np.float64)
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation: {self.activation!r}")
         if self.w_enc.ndim != 2 or self.w_dec.ndim != 2:
             raise ValueError("weights must be matrices")
         if self.w_enc.shape != (self.w_dec.shape[1], self.w_dec.shape[0] + 1):
@@ -158,7 +138,7 @@ class AutoencoderModel:
 
     def encode(self, x):
         xb = append_bias(np.asarray(x, dtype=np.float64), self.input_dim)
-        return activate(self.w_enc @ xb, self.activation)
+        return activate(self.w_enc @ xb)
 
     def forward(self, x):
         """Map length-d vectors (or d x N batches) through the autoencoder."""
@@ -218,7 +198,9 @@ class TrainingSet:
 
 @dataclass
 class SplitBregmanState:
-    """Auxiliary and relaxation variables of the robust trainer.
+    """Auxiliary and relaxation variables of the robust trainer.  It holds
+    no settings: the blocks and the objective read them from the
+    ``TrainConfig`` they are passed.
 
     ``b2`` is None in anchored runs: their P4 sets Z = phi(W_enc X_in), so
     the second constraint holds exactly and B2 would stay zero.  The
@@ -249,8 +231,6 @@ class SplitBregmanState:
     z: np.ndarray
     b1: np.ndarray
     b2: np.ndarray | None
-    lam: float
-    mu: float
     iteration: int = 0
     objective_history: list = field(default_factory=list)
     gap: np.ndarray | None = field(default=None, repr=False)
@@ -284,7 +264,7 @@ class SplitBregmanState:
         """phi(W_enc X_in)."""
         sources = (tset.x_in, model.w_enc)
         if not self.computed_from("encoded", *sources):
-            self.encoded = activate(model.w_enc @ tset.x_in, model.activation)
+            self.encoded = activate(model.w_enc @ tset.x_in)
             self.sources["encoded"] = sources
         return self.encoded
 
@@ -308,7 +288,7 @@ class TrainConfig:
     through ``config.TRAIN_FIELDS`` and coerces each key to its default's
     type, so a float default is written as a float.  The pinned
     ``SPLIT_STEP_HISTORY_SEED0`` regression relies on the ``ridge_eps``,
-    ``activation``, ``bregman_update`` and ``latent_update`` defaults.
+    ``bregman_update`` and ``latent_update`` defaults only.
     """
 
     hidden: int = 256
@@ -317,7 +297,6 @@ class TrainConfig:
     max_iter: int = 500
     rel_tol: float = 1e-4
     ridge_eps: float = 1e-6
-    activation: str = "tanh"
     bregman_update: str = "reflective"
     latent_update: str = "coupled"
     seed: int = 0
@@ -325,6 +304,8 @@ class TrainConfig:
     epochs: int = 200  # l2 baseline only
 
     def __post_init__(self):
+        for name in ("hidden", "max_iter", "epochs", "seed"):
+            require_integer(name, getattr(self, name))
         # written so that NaN fails every check
         if self.hidden < 1 or self.max_iter < 1 or self.epochs < 0:
             raise ValueError("hidden and max_iter must be positive, epochs nonnegative")
@@ -336,8 +317,6 @@ class TrainConfig:
             raise ValueError(f"unknown bregman_update: {self.bregman_update!r}")
         if self.latent_update not in LATENT_UPDATES:
             raise ValueError(f"unknown latent_update: {self.latent_update!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation: {self.activation!r}")
         if not 0 <= self.learning_rate < np.inf:
             raise ValueError("learning_rate must be nonnegative and finite")
 
@@ -363,7 +342,7 @@ def constraint_residuals(model, tset, state):
     return c1, state.z - state.encoded_for(model, tset)
 
 
-def penalty_objective(model, tset, state, residuals=None) -> float:
+def penalty_objective(model, tset, state, config, residuals=None) -> float:
     """Relaxed training objective ||P||_1 + lam ||R1||_F^2 + mu ||R2||_F^2,
     without the mu term when the state has no B2 (anchored runs).
 
@@ -380,9 +359,9 @@ def penalty_objective(model, tset, state, residuals=None) -> float:
     if not state.computed_from("p_l1", state.p):
         state.p_l1 = float(np.abs(state.p, out=state.scratch()).sum())
         state.sources["p_l1"] = (state.p,)
-    objective = state.p_l1 + state.lam * r1_squared
+    objective = state.p_l1 + config.lam * r1_squared
     if r2 is not None:
-        objective += state.mu * float((r2 * r2).sum())
+        objective += config.mu * float((r2 * r2).sum())
     return objective
 
 
@@ -391,7 +370,7 @@ def objective_l1(model, tset) -> float:
     return float(np.abs(tset.x_out - model.forward(tset.inputs)).sum())
 
 
-def update_sparse_residual(model, tset, state):
+def update_sparse_residual(model, tset, state, config):
     """P1: exact prox step, soft thresholding at tau = 1/(2 lam), into P.
 
     v = gap + B1 is formed in the work array and max(|v| - tau, 0) in P;
@@ -400,7 +379,7 @@ def update_sparse_residual(model, tset, state):
     """
     v = np.add(state.gap_for(model, tset), state.b1, out=state.scratch())
     shrunk = np.abs(v, out=state.p)
-    shrunk -= 1.0 / (2.0 * state.lam)
+    shrunk -= 1.0 / (2.0 * config.lam)
     np.maximum(shrunk, 0.0, out=shrunk)
     state.p_l1 = float(shrunk.sum())
     state.sources["p_l1"] = (state.p,)
@@ -431,7 +410,7 @@ def update_encoder(model, tset, state, config, input_gram=None):
         ).T
         return
     latent = state.z if state.b2 is None else state.z - state.b2
-    target = activate(latent, model.activation, "inverse")
+    target = activate(latent, "inverse")
     model.w_enc = scipy.linalg.cho_solve(input_gram, tset.x_in @ target.T).T
 
 
@@ -443,7 +422,7 @@ def _z_is_current_encoding(model, tset, state):
         return False
     if not state.computed_from("encoded", tset.x_in, model.w_enc):
         return False
-    low, high = _inverse_domain(model.activation)
+    low, high = _INVERSE_DOMAIN
     return bool(low < state.z.min() and state.z.max() < high)
 
 
@@ -477,10 +456,10 @@ def update_latent(model, tset, state, config):
     if state.b2 is None:
         state.z = anchor
         return
-    gram = state.lam * (model.w_dec.T @ model.w_dec)
-    gram[np.diag_indices_from(gram)] += state.mu + config.ridge_eps
-    rhs = state.lam * (model.w_dec.T @ state.decoder_target(tset))
-    rhs += state.mu * (anchor + state.b2)
+    gram = config.lam * (model.w_dec.T @ model.w_dec)
+    gram[np.diag_indices_from(gram)] += config.mu + config.ridge_eps
+    rhs = config.lam * (model.w_dec.T @ state.decoder_target(tset))
+    rhs += config.mu * (anchor + state.b2)
     state.z = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs)
 
 
@@ -511,12 +490,12 @@ def split_bregman_step(model, tset, state, config, input_gram=None):
     penalty terms from B.
     Returns the mutated (model, state) pair.
     """
-    update_sparse_residual(model, tset, state)
+    update_sparse_residual(model, tset, state, config)
     update_encoder(model, tset, state, config, input_gram)
     update_decoder(model, tset, state, config)
     update_latent(model, tset, state, config)
     update_relaxation(model, tset, state, config)
-    objective = penalty_objective(model, tset, state, (state.b1, state.b2))
+    objective = penalty_objective(model, tset, state, config, (state.b1, state.b2))
     if not (
         np.isfinite(objective)
         and np.all(np.isfinite(model.w_enc))
@@ -532,7 +511,7 @@ def _initial_weights(d, config):
     rng = SeededRng(config.seed)
     w_enc = rng.normal((config.hidden, d + 1)) / np.sqrt(d + 1)
     w_dec = rng.normal((d, config.hidden)) / np.sqrt(config.hidden)
-    return AutoencoderModel(w_enc, w_dec, config.activation)
+    return AutoencoderModel(w_enc, w_dec)
 
 
 def _initial_state(model, tset, config):
@@ -544,8 +523,6 @@ def _initial_state(model, tset, config):
         z=None,
         b1=np.zeros_like(tset.x_out),
         b2=None,
-        lam=config.lam,
-        mu=config.mu,
     )
     state.z = state.encoded_for(model, tset)
     if config.latent_update == "coupled":
@@ -595,13 +572,13 @@ def train_robust(tset: TrainingSet, config: TrainConfig):
 def l2_loss_and_grads(model, tset):
     """Squared-error loss and its exact weight gradients, through one d x N
     residual W_dec Z - X_out, formed and doubled (exactly) in place."""
-    z = activate(model.w_enc @ tset.x_in, model.activation)
+    z = activate(model.w_enc @ tset.x_in)
     residual = model.w_dec @ z
     residual -= tset.x_out
     loss = float(np.vdot(residual, residual))
     residual *= 2.0
     g_dec = residual @ z.T
-    g_hidden = (model.w_dec.T @ residual) * _activation_derivative(z, model.activation)
+    g_hidden = (model.w_dec.T @ residual) * (1.0 - z * z)
     g_enc = g_hidden @ tset.x_in.T
     return loss, g_enc, g_dec
 
@@ -655,7 +632,7 @@ def save_model(model: AutoencoderModel, path) -> None:
     """Persist a model bundle: manifest.txt + w_enc.rdt + w_dec.rdt."""
     os.makedirs(path, exist_ok=True)
     manifest = (
-        f"activation={model.activation}\n"
+        "activation=tanh\n"
         f"d={model.input_dim}\n"
         f"hidden={model.hidden}\n"
         f"format_version={_FORMAT_VERSION}\n"
@@ -666,7 +643,8 @@ def save_model(model: AutoencoderModel, path) -> None:
 
 
 def load_model(path) -> AutoencoderModel:
-    """Load a model bundle; the manifest is authoritative for metadata."""
+    """Load a model bundle; the manifest is authoritative for metadata, and
+    a bundle of any activation but tanh is refused."""
     manifest_path = os.path.join(path, "manifest.txt")
     try:
         with open(manifest_path, "r", encoding="ascii") as fh:
@@ -678,6 +656,8 @@ def load_model(path) -> AutoencoderModel:
     required = {"activation", "d", "hidden", "format_version"}
     if set(pairs) != required:
         raise FormatError(f"manifest keys {sorted(pairs)} != {sorted(required)}")
+    if pairs["activation"] != "tanh":
+        raise FormatError(f"unsupported activation {pairs['activation']!r} in {manifest_path}")
     try:
         w_enc = read_tensor(os.path.join(path, "w_enc.rdt"))
         w_dec = read_tensor(os.path.join(path, "w_dec.rdt"))
@@ -689,4 +669,4 @@ def load_model(path) -> AutoencoderModel:
             f"tensor shapes {w_enc.shape}/{w_dec.shape} disagree with manifest "
             f"(d={d}, hidden={hidden})"
         )
-    return AutoencoderModel(w_enc, w_dec, pairs["activation"])
+    return AutoencoderModel(w_enc, w_dec)

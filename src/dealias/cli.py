@@ -51,9 +51,8 @@ _DEGRADATION_KEYS = (
 _CONFIG_KEYS = {
     "degrade": _DEGRADATION_KEYS,
     "train": (
-        "hidden", "lambda", "mu", "max_iter", "rel_tol", "activation",
-        "bregman_update", "latent_update", "train_seed", "l2_learning_rate",
-        "l2_epochs", "patch_size",
+        "hidden", "lambda", "mu", "max_iter", "rel_tol", "bregman_update",
+        "latent_update", "train_seed", "l2_learning_rate", "l2_epochs", "patch_size",
     ) + _DEGRADATION_KEYS,
     "cs-recon": (
         "ista_lambda", "ista_iters", "ista_tol", "transform", "wavelet_levels",
@@ -146,7 +145,7 @@ def _cmd_phantom(args):
     image = generate_phantom(args.kind, args.size)
     write_tensor(args.out, image)
     if args.pgm:
-        write_pgm(args.pgm, image, 8)
+        write_pgm(args.pgm, image)
     return 0
 
 
@@ -219,7 +218,7 @@ def _cmd_diff(args):
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     magnified = np.clip(np.abs(a - b) * 10.0, 0.0, 1.0)
-    write_pgm(args.out, magnified, 8)
+    write_pgm(args.out, magnified)
     return 0
 
 

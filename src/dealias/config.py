@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .autoencoder import ACTIVATIONS, BREGMAN_UPDATES, LATENT_UPDATES, TrainConfig
+from .autoencoder import BREGMAN_UPDATES, LATENT_UPDATES, TrainConfig
 from .pipeline import MODALITIES, DegradationSpec
 from .transforms import MASK_KINDS, MASK_PARAMS, TRANSFORM_KINDS, SparsifyingTransform
 
@@ -72,7 +72,6 @@ DEFAULTS = {
 CHOICES = {
     "modality": MODALITIES,
     "mask_kind": MASK_KINDS,
-    "activation": ACTIVATIONS,
     "bregman_update": BREGMAN_UPDATES,
     "latent_update": LATENT_UPDATES,
     "transform": TRANSFORM_KINDS,

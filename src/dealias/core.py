@@ -8,6 +8,7 @@ tensors are stored as float32.  Images are plain 2-d ``numpy`` arrays
 from __future__ import annotations
 
 import math
+import operator
 import os
 import tempfile
 
@@ -264,29 +265,25 @@ def read_tensor(path) -> np.ndarray:
     return flat.astype(np.float64).reshape(dims)
 
 
-def write_pgm(path, image, bit_depth: int = 8) -> None:
-    """Export an image as binary PGM (P5), linearly mapped to full range.
+def write_pgm(path, image) -> None:
+    """Export an image as 8-bit binary PGM (P5), linearly mapped to full range.
 
-    The image minimum maps to 0 and the maximum to ``2**bit_depth - 1``;
-    a constant image maps to all zeros (the degenerate range is defined
-    to collapse to black rather than divide by zero).
+    The image minimum maps to 0 and the maximum to 255; a constant image
+    maps to all zeros (the degenerate range is defined to collapse to black
+    rather than divide by zero).
     """
     arr = np.asarray(image, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError("image must be a nonempty 2-d array")
     if not np.all(np.isfinite(arr)):
         raise ValueError("image values must be finite")
-    if bit_depth not in (8, 16):
-        raise ValueError("bit_depth must be 8 or 16")
-    maxval = 2 ** bit_depth - 1
     lo, hi = float(arr.min()), float(arr.max())
     if hi > lo:
-        scaled = np.rint((arr - lo) / (hi - lo) * maxval)
+        scaled = np.rint((arr - lo) / (hi - lo) * 255)
     else:
         scaled = np.zeros_like(arr)
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii")
-    dtype = np.uint8 if bit_depth == 8 else ">u2"
-    atomic_write_bytes(path, header + scaled.astype(dtype).tobytes(order="C"))
+    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
+    atomic_write_bytes(path, header + scaled.astype(np.uint8).tobytes(order="C"))
 
 
 def ensure_image(arr) -> np.ndarray:
@@ -297,3 +294,15 @@ def ensure_image(arr) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ValueError("image contains non-finite values")
     return out
+
+
+def require_integer(name: str, value) -> None:
+    """ValueError unless ``value`` is an integer: operator.index refuses 2.5,
+    which int() would truncate, and bools, which it takes, are refused here."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            operator.index(value)
+            return
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")

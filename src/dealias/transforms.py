@@ -27,14 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .core import SeededRng, ensure_image, write_tensor
+from .core import SeededRng, ensure_image, require_integer, write_tensor
 
 
 # each mask kind's one parameter: name, type, range test, range as messages state it
 MaskParam = namedtuple("MaskParam", "name cast allowed rule")
 MASK_PARAMS = {
     "random": MaskParam("fraction", float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "variable-density": MaskParam("decay", float, lambda v: v > 0, "positive"),
+    "variable-density": MaskParam(
+        "decay", float, lambda v: 0 < v < math.inf, "positive and finite"
+    ),
     "radial": MaskParam("lines", operator.index, lambda v: v >= 1, "an integer >= 1"),
     "periodic": MaskParam("stride", operator.index, lambda v: v >= 1, "an integer >= 1"),
 }
@@ -371,7 +373,7 @@ def backproject(projections: ProjectionSet, size: int) -> np.ndarray:
     return (lower + upper).reshape(size, size)
 
 
-def _ramp_filter(sinogram, window):
+def _ramp_filter(sinogram):
     """Ramp-filter each projection row (frequency domain, zero-padded)."""
     bins = sinogram.shape[1]
     length = 1 << max(3, (2 * bins - 1).bit_length())
@@ -382,22 +384,17 @@ def _ramp_filter(sinogram, window):
     kernel[odd] = -1.0 / (math.pi * odd) ** 2
     kernel[-odd] = -1.0 / (math.pi * odd) ** 2
     response = np.fft.rfft(kernel)
-    if window == "hann":
-        k = np.arange(response.size)
-        response = response * (0.5 + 0.5 * np.cos(math.pi * k / (response.size - 1)))
-    elif window is not None:
-        raise ValueError(f"unknown apodization window: {window!r}")
     spec = np.fft.rfft(sinogram, n=length, axis=1)
     filtered = np.fft.irfft(spec * response[None, :], n=length, axis=1)
     return filtered[:, :bins]
 
 
-def fbp_reconstruct(projections: ProjectionSet, size: int, window=None) -> np.ndarray:
+def fbp_reconstruct(projections: ProjectionSet, size: int) -> np.ndarray:
     """Filtered back projection onto a size x size grid.
 
-    Ram-Lak ramp by default; ``window="hann"`` apodizes the ramp.  The
-    backprojection sum is scaled by pi / n_angles (uniform angular
-    coverage of [0, 180) assumed).
+    The projections are filtered with the Ram-Lak ramp.  The backprojection
+    sum is scaled by pi / n_angles (uniform angular coverage of [0, 180)
+    assumed).
     """
     if projections.detector_bins != detector_bin_count(size):
         raise ValueError(
@@ -406,7 +403,7 @@ def fbp_reconstruct(projections: ProjectionSet, size: int, window=None) -> np.nd
         )
     filtered = ProjectionSet(
         angles_deg=projections.angles_deg,
-        sinogram=_ramp_filter(projections.sinogram, window),
+        sinogram=_ramp_filter(projections.sinogram),
     )
     scale = math.pi / projections.angles_deg.size
     return scale * backproject(filtered, size)
@@ -427,6 +424,7 @@ class SparsifyingTransform:
     def __post_init__(self):
         if self.kind not in TRANSFORM_KINDS:
             raise ValueError(f"unknown transform kind: {self.kind!r}")
+        require_integer("levels", self.levels)
         if self.levels < 1:
             raise ValueError("levels must be positive")
 

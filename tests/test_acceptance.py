@@ -150,10 +150,8 @@ def test_criterion_01_solver_exactness():
         z=SeededRng(303).normal((5, 5)),
         b1=SeededRng(304).normal((5, 5)),
         b2=SeededRng(305).normal((5, 5)),
-        lam=config.lam,
-        mu=config.mu,
     )
-    anchor = activate(model.w_enc @ tset.x_in, "tanh") + state.b2
+    anchor = activate(model.w_enc @ tset.x_in) + state.b2
     target = tset.x_out - state.p + state.b1
     gram = config.lam * model.w_dec.T @ model.w_dec + (config.mu + config.ridge_eps) * np.eye(5)
     oracle = np.linalg.inv(gram) @ (config.lam * model.w_dec.T @ target + config.mu * anchor)
@@ -172,21 +170,17 @@ def test_criterion_02_block_monotonicity():
     values = SeededRng(0).uniform(16 * 16).reshape(16, 16)
     tset = d.TrainingSet.from_arrays(values, values)
     model = _initial_weights(16, config)
-    z = activate(model.w_enc @ tset.x_in, config.activation)
+    z = activate(model.w_enc @ tset.x_in)
     state = SplitBregmanState(
         p=tset.x_out - model.w_dec @ z, z=z,
         b1=np.zeros_like(tset.x_out), b2=np.zeros_like(z),
-        lam=config.lam, mu=config.mu,
     )
     worst = 0.0
     for _ in range(20):
-        objective = penalty_objective(model, tset, state)
+        objective = penalty_objective(model, tset, state, config)
         for block in (update_sparse_residual, update_encoder, update_decoder, update_latent):
-            if block is update_sparse_residual:
-                block(model, tset, state)
-            else:
-                block(model, tset, state, config)
-            value = penalty_objective(model, tset, state)
+            block(model, tset, state, config)
+            value = penalty_objective(model, tset, state, config)
             worst = max(worst, value - objective)
             assert value <= objective + 1e-9
             objective = value

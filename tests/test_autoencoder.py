@@ -1,4 +1,4 @@
-"""Robust trainer internals: activations, exact block solves, training loops."""
+"""Robust trainer internals: the activation, exact block solves, training loops."""
 
 import hashlib
 import tracemalloc
@@ -9,14 +9,13 @@ import scipy.linalg
 
 import dealias as d
 from dealias.autoencoder import (
-    ACTIVATIONS,
     BREGMAN_UPDATES,
     LATENT_UPDATES,
     SplitBregmanState,
+    _INVERSE_DOMAIN,
     _gram_factor,
     _initial_state,
     _initial_weights,
-    _inverse_domain,
     activate,
     constraint_residuals,
     l2_loss_and_grads,
@@ -50,29 +49,25 @@ def fresh_state(model, tset, config):
 
 class TestActivate:
     def test_forward_values(self):
-        assert activate(0.0, "tanh") == 0.0
-        assert activate(0.0, "sigmoid") == 0.5
+        assert activate(0.0) == 0.0
+        assert activate(0.5) == np.tanh(0.5)
 
     def test_inverse_identity(self):
-        assert activate(np.tanh(0.7), "tanh", "inverse") == pytest.approx(0.7, abs=1e-12)
-        s = activate(0.3, "sigmoid")
-        assert activate(s, "sigmoid", "inverse") == pytest.approx(0.3, abs=1e-12)
+        assert activate(np.tanh(0.7), "inverse") == pytest.approx(0.7, abs=1e-12)
 
     def test_clamped_inverse_is_finite(self):
-        v = activate(1.0, "tanh", "inverse")
+        v = activate(1.0, "inverse")
         assert v == pytest.approx(np.arctanh(1.0 - 1e-6))
-        assert np.isfinite(activate(np.array([0.0, 1.0]), "sigmoid", "inverse")).all()
+        assert np.isfinite(activate(np.array([-1.0, 1.0]), "inverse")).all()
 
     def test_forward_inverse_roundtrip(self):
         vals = np.linspace(-0.9, 0.9, 19)
-        assert np.allclose(
-            activate(activate(vals, "tanh", "inverse"), "tanh"), vals, atol=1e-12
-        )
+        assert np.allclose(activate(activate(vals, "inverse")), vals, atol=1e-12)
 
 
 class TestForward:
     def test_zero_encoder_tanh_gives_zero(self):
-        model = d.AutoencoderModel(np.zeros((4, 9)), SeededRng(0).normal((8, 4)), "tanh")
+        model = d.AutoencoderModel(np.zeros((4, 9)), SeededRng(0).normal((8, 4)))
         out = model.forward(SeededRng(1).uniform(8))
         assert np.all(out == 0.0)
 
@@ -179,7 +174,7 @@ class TestTrainingSet:
 
 class TestTrainConfig:
     # a value per field that its check rejects, NaN first for each float
-    # field; any integer is a valid seed
+    # field; any integer, but no bool, is a valid seed
     @pytest.mark.parametrize("field, value", [
         ("hidden", 0),
         ("lam", np.nan),
@@ -187,7 +182,6 @@ class TestTrainConfig:
         ("max_iter", 0),
         ("rel_tol", np.nan),
         ("ridge_eps", np.nan),
-        ("activation", "relu"),
         ("bregman_update", "mirror"),
         ("latent_update", "frozen"),
         ("learning_rate", np.nan),
@@ -198,6 +192,11 @@ class TestTrainConfig:
         ("rel_tol", -1e-4),
         ("learning_rate", np.inf),
         ("learning_rate", -1e-4),
+        ("hidden", 2.5),
+        ("max_iter", True),
+        ("epochs", 2.5),
+        ("seed", 1.5),
+        ("seed", False),
     ])
     def test_bad_field_rejected(self, field, value):
         with pytest.raises(ValueError):
@@ -222,25 +221,24 @@ class TestSplitBregmanStep:
     def test_blocks_do_not_increase_own_subobjective(self):
         model, tset, state, config = self._setup()
         for _ in range(3):
-            before = penalty_objective(model, tset, state)
-            update_sparse_residual(model, tset, state)
-            after_p1 = penalty_objective(model, tset, state)
+            before = penalty_objective(model, tset, state, config)
+            update_sparse_residual(model, tset, state, config)
+            after_p1 = penalty_objective(model, tset, state, config)
             assert after_p1 <= before + 1e-9
             update_encoder(model, tset, state, config)
-            after_p2 = penalty_objective(model, tset, state)
+            after_p2 = penalty_objective(model, tset, state, config)
             update_decoder(model, tset, state, config)
-            after_p3 = penalty_objective(model, tset, state)
+            after_p3 = penalty_objective(model, tset, state, config)
             assert after_p3 <= after_p2 + 1e-9
             update_latent(model, tset, state, config)
-            after_p4 = penalty_objective(model, tset, state)
+            after_p4 = penalty_objective(model, tset, state, config)
             assert after_p4 <= after_p3 + 1e-9
             split_step_tail(model, tset, state, config)
 
     def test_huge_lambda_makes_p1_an_identity(self):
         model, tset, state, config = self._setup(lam=1e6)
-        state.lam = 1e6
         v = (tset.x_out - model.w_dec @ state.z) + state.b1
-        update_sparse_residual(model, tset, state)
+        update_sparse_residual(model, tset, state, config)
         assert np.abs(state.p - v).max() <= 5e-7 + 1e-12
 
     def test_ten_step_history_regression(self):
@@ -257,11 +255,11 @@ class TestSplitBregmanStep:
 
     def test_latent_exactness_against_perturbations(self):
         model, tset, state, config = self._setup()
-        update_sparse_residual(model, tset, state)
+        update_sparse_residual(model, tset, state, config)
         update_encoder(model, tset, state, config)
         update_decoder(model, tset, state, config)
         update_latent(model, tset, state, config)
-        base = penalty_objective(model, tset, state)
+        base = penalty_objective(model, tset, state, config)
         rng = SeededRng(13)
         for _ in range(100):
             trial_state = SplitBregmanState(
@@ -269,10 +267,8 @@ class TestSplitBregmanStep:
                 z=state.z + 1e-3 * rng.normal(state.z.shape),
                 b1=state.b1,
                 b2=state.b2,
-                lam=state.lam,
-                mu=state.mu,
             )
-            assert penalty_objective(model, tset, trial_state) >= base - 1e-9
+            assert penalty_objective(model, tset, trial_state, config) >= base - 1e-9
 
 
 class TestLatentVariantFromState:
@@ -285,7 +281,7 @@ class TestLatentVariantFromState:
         )
         state = SplitBregmanState(
             p=SeededRng(302).normal((5, 5)), z=SeededRng(303).normal((5, 5)),
-            b1=SeededRng(304).normal((5, 5)), b2=b2, lam=config.lam, mu=config.mu,
+            b1=SeededRng(304).normal((5, 5)), b2=b2,
         )
         return model, tset, state
 
@@ -293,7 +289,7 @@ class TestLatentVariantFromState:
         config = d.TrainConfig(hidden=5, lam=1.3, mu=0.7, seed=1, latent_update="anchored")
         model, tset, state = self._state(config, SeededRng(305).normal((5, 5)))
         # the coupled normal-equation oracle of acceptance criterion 1
-        anchor = activate(model.w_enc @ tset.x_in, "tanh") + state.b2
+        anchor = activate(model.w_enc @ tset.x_in) + state.b2
         target = tset.x_out - state.p + state.b1
         gram = config.lam * model.w_dec.T @ model.w_dec + (config.mu + config.ridge_eps) * np.eye(5)
         oracle = np.linalg.inv(gram) @ (config.lam * model.w_dec.T @ target + config.mu * anchor)
@@ -305,7 +301,7 @@ class TestLatentVariantFromState:
         model, tset, state = self._state(config, None)
         update_latent(model, tset, state, config)
         assert state.z is state.encoded
-        assert np.array_equal(state.z, activate(model.w_enc @ tset.x_in, "tanh"))
+        assert np.array_equal(state.z, activate(model.w_enc @ tset.x_in))
 
 
 def split_step_tail(model, tset, state, config):
@@ -337,19 +333,19 @@ def unshared_cycle(model, tset, state, config):
     and the relaxation update (B <- c - B, B <- B - c) each evaluate the
     constraints themselves.  Without B2 (anchored) the second constraint
     must hold exactly and adds nothing."""
-    update_sparse_residual(model, tset, state)
+    update_sparse_residual(model, tset, state, config)
     update_encoder(model, tset, state, config)
     update_decoder(model, tset, state, config)
     update_latent(model, tset, state, config)
     r1 = state.p - (tset.x_out - model.w_dec @ state.z) - state.b1
-    objective = float(np.abs(state.p).sum()) + state.lam * float((r1 * r1).sum())
+    objective = float(np.abs(state.p).sum()) + config.lam * float((r1 * r1).sum())
     c1 = state.p - (tset.x_out - model.w_dec @ state.z)
-    c2 = state.z - activate(model.w_enc @ tset.x_in, model.activation)
+    c2 = state.z - activate(model.w_enc @ tset.x_in)
     if state.b2 is None:
         assert not c2.any()
     else:
         r2 = c2 - state.b2
-        objective += state.mu * float((r2 * r2).sum())
+        objective += config.mu * float((r2 * r2).sum())
     state.objective_history.append(objective)
     for name, c in (("b1", c1), ("b2", c2)):
         b = getattr(state, name)
@@ -483,13 +479,10 @@ class TestCycleBuffers:
                     split_bregman_step(model, tset, state, config)
                     continue
                 for block in (update_sparse_residual, update_encoder, update_decoder, update_latent):
-                    first = penalty_objective(model, tset, state)
-                    assert penalty_objective(model, tset, state) == first
-                    if block is update_sparse_residual:
-                        block(model, tset, state)
-                    else:
-                        block(model, tset, state, config)
-                objectives.append(penalty_objective(model, tset, state))
+                    first = penalty_objective(model, tset, state, config)
+                    assert penalty_objective(model, tset, state, config) == first
+                    block(model, tset, state, config)
+                objectives.append(penalty_objective(model, tset, state, config))
                 update_relaxation(model, tset, state, config)
             runs.append((model, state, objectives))
         (model, state, _), (ref_model, ref_state, objectives) = runs
@@ -509,17 +502,17 @@ class TestCycleBuffers:
             split_bregman_step(model, tset, state, config)
         owner = state if replaced == "z" else model
         setattr(owner, replaced, getattr(owner, replaced) * 1.01)
-        fresh_model = d.AutoencoderModel(model.w_enc.copy(), model.w_dec.copy(), model.activation)
+        fresh_model = d.AutoencoderModel(model.w_enc.copy(), model.w_dec.copy())
         fresh = SplitBregmanState(
             p=state.p.copy(), z=state.z.copy(), b1=state.b1.copy(),
-            b2=None if state.b2 is None else state.b2.copy(), lam=state.lam, mu=state.mu,
+            b2=None if state.b2 is None else state.b2.copy(),
         )
         if state.z is state.encoded and state.computed_from("encoded", tset.x_in, model.w_enc):
             # an anchored Z that is still phi(W_enc X_in): share it as train_robust does
             fresh.z = fresh.encoded_for(fresh_model, tset)
             assert fresh.z.tobytes() == state.z.tobytes()
-        assert penalty_objective(model, tset, state) == penalty_objective(
-            fresh_model, tset, fresh
+        assert penalty_objective(model, tset, state, config) == penalty_objective(
+            fresh_model, tset, fresh, config
         )
         for _ in range(2):
             split_bregman_step(model, tset, state, config)
@@ -538,7 +531,7 @@ class TestCycleBuffers:
         state = fresh_state(model, tset, config)
         for _ in range(2):
             split_bregman_step(model, tset, state, config)
-        state.lam = np.inf
+        config.lam = np.inf  # past the constructor's check
         with pytest.raises(NumericFailure, match="at iteration 2$"):
             split_bregman_step(model, tset, state, config)
 
@@ -547,7 +540,7 @@ def general_encoder_fit(model, tset, state, config):
     """P2's ridge fit phi^-1(Z - B2) X_in^T (G + eps I)^-1, as written
     before the anchored closed form."""
     latent = state.z if state.b2 is None else state.z - state.b2
-    target = activate(latent, model.activation, "inverse")
+    target = activate(latent, "inverse")
     gram = _gram_factor(tset.x_in, config.ridge_eps)
     return scipy.linalg.cho_solve(gram, tset.x_in @ target.T).T
 
@@ -557,19 +550,15 @@ class TestEncoderUpdate:
     unclipped phi(W_enc X_in) and there is no B2; any other state gets the
     general ridge fit, bit for bit."""
 
-    def _anchored(self, activation, scale=1.0):
-        config = d.TrainConfig(
-            hidden=8, lam=20.0, ridge_eps=1e-2, activation=activation, latent_update="anchored"
-        )
+    def _anchored(self, scale=1.0):
+        config = d.TrainConfig(hidden=8, lam=20.0, ridge_eps=1e-2, latent_update="anchored")
         tset = toy_training_set(dim=16, count=40, seed=5)
         model = _initial_weights(16, config)
         model.w_enc = model.w_enc * scale
-        with np.errstate(over="ignore"):  # the scaled sigmoid saturates
-            return model, tset, fresh_state(model, tset, config), config
+        return model, tset, fresh_state(model, tset, config), config
 
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_anchored_state_takes_closed_form(self, activation):
-        model, tset, state, config = self._anchored(activation)
+    def test_anchored_state_takes_closed_form(self):
+        model, tset, state, config = self._anchored()
         gram = _gram_factor(tset.x_in, config.ridge_eps)
         closed = model.w_enc - config.ridge_eps * scipy.linalg.cho_solve(gram, model.w_enc.T).T
         general = general_encoder_fit(model, tset, state, config)
@@ -578,11 +567,10 @@ class TestEncoderUpdate:
         assert np.abs(model.w_enc - general).max() <= 1e-9 * np.abs(general).max()
 
     @pytest.mark.parametrize("case", ["clipped", "replaced-z", "replaced-w_enc", "with-b2"])
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_other_states_take_general_fit(self, activation, case):
-        model, tset, state, config = self._anchored(activation, 1e3 if case == "clipped" else 1.0)
+    def test_other_states_take_general_fit(self, case):
+        model, tset, state, config = self._anchored(1e3 if case == "clipped" else 1.0)
         if case == "clipped":
-            low, high = _inverse_domain(activation)
+            low, high = _INVERSE_DOMAIN
             assert state.z.min() <= low or state.z.max() >= high
         elif case == "replaced-z":
             state.z = state.z.copy()
@@ -640,7 +628,7 @@ class TestObjectiveL1:
 
     def test_zero_encoder_sums_targets(self):
         tset = toy_training_set(dim=6, count=5, seed=6)
-        model = d.AutoencoderModel(np.zeros((4, 7)), np.ones((6, 4)), "tanh")
+        model = d.AutoencoderModel(np.zeros((4, 7)), np.ones((6, 4)))
         assert d.objective_l1(model, tset) == pytest.approx(np.abs(tset.x_out).sum())
 
     def test_matches_naive_double_loop(self):
@@ -689,7 +677,7 @@ class TestL2Baseline:
         # exact, so both gradients keep the bits of the plain expression
         tset = toy_training_set(dim=16, count=40, seed=11)
         model = _initial_weights(16, d.TrainConfig(hidden=6, seed=4))
-        z = activate(model.w_enc @ tset.x_in, model.activation)
+        z = activate(model.w_enc @ tset.x_in)
         residual = model.w_dec @ z - tset.x_out
         g_out = 2.0 * residual
         g_dec = g_out @ z.T
@@ -743,14 +731,17 @@ class TestModelPersistence:
         x = SeededRng(15).uniform(16)
         assert np.abs(loaded.forward(x) - model.forward(x)).max() < 1e-6
 
-    def test_manifest_activation_wins(self, tmp_path):
-        model = _initial_weights(4, d.TrainConfig(hidden=3, seed=7, activation="sigmoid"))
+    def test_non_tanh_bundle_rejected(self, tmp_path):
+        # a bundle of another activation is never read as a tanh model
+        model = _initial_weights(4, d.TrainConfig(hidden=3, seed=7))
         d.save_model(model, tmp_path / "bundle")
         manifest = (tmp_path / "bundle" / "manifest.txt").read_text()
+        assert "activation=tanh\n" in manifest
         (tmp_path / "bundle" / "manifest.txt").write_text(
-            manifest.replace("activation=sigmoid", "activation=tanh")
+            manifest.replace("activation=tanh", "activation=sigmoid")
         )
-        assert d.load_model(tmp_path / "bundle").activation == "tanh"
+        with pytest.raises(d.FormatError, match="sigmoid"):
+            d.load_model(tmp_path / "bundle")
 
     def test_missing_decoder_tensor(self, tmp_path):
         model = _initial_weights(4, d.TrainConfig(hidden=3, seed=8))

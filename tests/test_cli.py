@@ -195,7 +195,7 @@ SUBCOMMANDS = {
         {
             "--hidden": "hidden", "--lambda": "lambda", "--mu": "mu",
             "--max-iter": "max_iter", "--rel-tol": "rel_tol",
-            "--activation": "activation", "--bregman": "bregman_update",
+            "--bregman": "bregman_update",
             "--latent": "latent_update", "--train-seed": "train_seed",
             "--learning-rate": "l2_learning_rate", "--epochs": "l2_epochs",
             "--patch-size": "patch_size", **DEGRADATION_FLAGS,

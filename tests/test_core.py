@@ -189,26 +189,26 @@ class TestTensorIO:
 class TestPgm:
     def test_constant_image_maps_to_zero(self, tmp_path):
         path = tmp_path / "c.pgm"
-        write_pgm(path, np.full((4, 4), 0.7), 8)
+        write_pgm(path, np.full((4, 4), 0.7))
         blob = path.read_bytes()
         assert blob.endswith(b"\x00" * 16)
 
     def test_binary_endpoints(self, tmp_path):
         path = tmp_path / "b.pgm"
-        write_pgm(path, np.array([[0.0, 1.0]]), 8)
+        write_pgm(path, np.array([[0.0, 1.0]]))
         assert path.read_bytes().endswith(bytes([0, 255]))
 
     def test_file_size_128_phantom(self, tmp_path):
         path = tmp_path / "p.pgm"
-        write_pgm(path, generate_phantom("shepp-logan", 128), 8)
+        write_pgm(path, generate_phantom("shepp-logan", 128))
         header = b"P5\n128 128\n255\n"
         assert len(path.read_bytes()) == len(header) + 128 * 128
 
-    def test_16_bit_big_endian(self, tmp_path):
+    def test_whole_file_is_8_bit(self, tmp_path):
         path = tmp_path / "w.pgm"
-        write_pgm(path, np.array([[0.0, 1.0]]), 16)
-        assert path.read_bytes().endswith(bytes([0, 0, 255, 255]))
+        write_pgm(path, np.array([[0.0, 1.0]]))
+        assert path.read_bytes() == b"P5\n2 1\n255\n" + bytes([0, 255])
 
     def test_zero_area_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_pgm(tmp_path / "e.pgm", np.zeros((0, 4)), 8)
+            write_pgm(tmp_path / "e.pgm", np.zeros((0, 4)))

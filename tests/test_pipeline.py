@@ -48,6 +48,7 @@ class TestDegradationSpec:
         ("random", {"frac": 0.5}),
         ("random", {"fraction": 0.5, "decay": 1.0}),
         ("variable-density", {"decay": 0.0}),
+        ("variable-density", {"decay": float("inf")}),
         ("variable-density", {"fraction": 1.0}),
         ("variable-density", {"decay": 1.0, "lines": 3}),
         ("radial", {"lines": 0}),
@@ -268,7 +269,7 @@ class TestBuildTrainingSet:
 
 class TestReconstructImage:
     def test_zero_model_gives_zero_image(self):
-        model = d.AutoencoderModel(np.zeros((8, 17)), np.zeros((16, 8)), "tanh")
+        model = d.AutoencoderModel(np.zeros((8, 17)), np.zeros((16, 8)))
         out = reconstruct_image(model, SeededRng(5).uniform(64 * 64).reshape(64, 64))
         assert np.all(out == 0.0)
 
@@ -318,6 +319,6 @@ class TestReconstructImage:
         assert d.nmse(out, img) < 0.35
 
     def test_non_square_model_dim_rejected(self):
-        model = d.AutoencoderModel(np.zeros((4, 13)), np.zeros((12, 4)), "tanh")
+        model = d.AutoencoderModel(np.zeros((4, 13)), np.zeros((12, 4)))
         with pytest.raises(ValueError):
             reconstruct_image(model, np.zeros((64, 64)))

@@ -17,7 +17,6 @@ from hypothesis.extra import numpy as hnp
 
 from dealias import transforms
 from dealias.autoencoder import (
-    ACTIVATIONS,
     AutoencoderModel,
     TrainConfig,
     TrainingSet,
@@ -208,13 +207,10 @@ def test_sparsifying_transform_is_orthonormal(levels, rows, cols, dct, seed):
     assert np.abs(sparsify(fx, transform, "inverse") - x).max() <= 1e-12
 
 
-def encoder_updates(dim, count, hidden, ridge, activation, seed):
+def encoder_updates(dim, count, hidden, ridge, seed):
     """P2 from an anchored start, once in closed form and once through the
     general fit (forced by a copy of Z); also returns the start."""
-    config = TrainConfig(
-        hidden=hidden, ridge_eps=ridge, activation=activation,
-        latent_update="anchored", seed=seed,
-    )
+    config = TrainConfig(hidden=hidden, ridge_eps=ridge, latent_update="anchored", seed=seed)
     values = SeededRng(seed).uniform(dim * count).reshape(dim, count)
     tset = TrainingSet.from_arrays(values, values)
     model = _initial_weights(dim, config)
@@ -231,21 +227,18 @@ ENCODER_SHAPES = dict(
     dim=st.integers(1, 48),
     count=st.integers(1, 200),
     hidden=st.integers(1, 24),
-    activation=st.sampled_from(ACTIVATIONS),
     seed=st.integers(0, 2**16),
 )
 
 
 @given(log_ridge=st.floats(-4.0, 0.0), **ENCODER_SHAPES)
-def test_closed_form_encoder_update_matches_general_fit(
-    dim, count, hidden, log_ridge, activation, seed
-):
+def test_closed_form_encoder_update_matches_general_fit(dim, count, hidden, log_ridge, seed):
     # the closed form W - eps W (G + eps I)^-1 is taken, and equals the
     # ridge fit of phi^-1(Z); below ridge 1e-4 the Cholesky factor of
     # G + eps I limits both (at 1e-6 they differ by about 1e-8), which the
     # next property bounds against an SVD reference
     ridge = 10.0 ** log_ridge
-    tset, start, closed, general = encoder_updates(dim, count, hidden, ridge, activation, seed)
+    tset, start, closed, general = encoder_updates(dim, count, hidden, ridge, seed)
     gram = _gram_factor(tset.x_in, ridge)
     expected = start - ridge * scipy.linalg.cho_solve(gram, start.T).T
     assert closed.tobytes() == expected.tobytes()
@@ -254,14 +247,14 @@ def test_closed_form_encoder_update_matches_general_fit(
 
 @given(log_ridge=st.floats(-8.0, 0.0), **ENCODER_SHAPES)
 def test_closed_form_encoder_update_within_conditioning_of_svd(
-    dim, count, hidden, log_ridge, activation, seed
+    dim, count, hidden, log_ridge, seed
 ):
     # W G (G + eps I)^-1 = W U diag(s^2 / (s^2 + eps)) U^T with X_in = U S V^T;
     # a Cholesky solve is accurate to about u * cond(G + eps I), and the
     # products on either side add rounding of order u * (d + 1), all relative
     # to W, from which the closed form subtracts a term of W's size
     ridge = 10.0 ** log_ridge
-    tset, start, closed, _ = encoder_updates(dim, count, hidden, ridge, activation, seed)
+    tset, start, closed, _ = encoder_updates(dim, count, hidden, ridge, seed)
     u, s, _ = np.linalg.svd(tset.x_in)
     s2 = np.zeros(u.shape[0])
     s2[: s.size] = s * s
@@ -306,23 +299,21 @@ def test_tensor_file_round_trip(tensor):
 @given(
     d=st.integers(1, 40),
     h=st.integers(1, 16),
-    activation=st.sampled_from(ACTIVATIONS),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_model_bundle_round_trip(d, h, activation, seed):
+def test_model_bundle_round_trip(d, h, seed):
     # the bundle stores float32 weights: loading gives exactly the weights
     # rounded to float32, and forward moves by at most that rounding
     rng = SeededRng(seed)
-    model = AutoencoderModel(rng.normal((h, d + 1)), rng.normal((d, h)), activation)
+    model = AutoencoderModel(rng.normal((h, d + 1)), rng.normal((d, h)))
     with tempfile.TemporaryDirectory() as tmp:
         save_model(model, tmp)
         loaded = load_model(tmp)
-    assert loaded.activation == activation
     for got, want in ((loaded.w_enc, model.w_enc), (loaded.w_dec, model.w_dec)):
         assert got.tobytes() == want.astype(np.float32).astype(np.float64).tobytes()
     x = rng.uniform(d * 3).reshape(d, 3)
     # first-order bound on |forward| change from relative weight errors of
-    # 2**-24; both activations have slope at most 1
+    # 2**-24; tanh has slope at most 1
     xb = np.vstack([np.abs(x), np.ones((1, 3))])
     z = np.abs(model.encode(x))
     dec = np.abs(model.w_dec)
