@@ -31,7 +31,7 @@ from .pipeline import (
     patch_stride,
     reconstruct_image,
 )
-from .transforms import fft2
+from .transforms import fft2, require_pow2_grid
 
 METHODS = ("raw", "robust-ae", "l2-ae", "ista")
 
@@ -97,6 +97,11 @@ def run_benchmark(config: RunConfig, outdir) -> BenchResult:
     if config["timing_reps"] < 1:
         raise ValueError("timing_reps must be at least 1")
     train_entries, test_entries = _corpus_split(config, outdir)
+    if spec.modality == "mri" and not config["train_manifest"]:
+        # a procedural corpus's image size is known: fit the FFT and ISTA to it
+        size = (config["corpus_size"],) * 2
+        require_pow2_grid(size)
+        transform.check_shape(size)
     os.makedirs(outdir, exist_ok=True)
     _ensure_corpus(config, train_entries + test_entries)
 

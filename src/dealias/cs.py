@@ -12,10 +12,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.fft
 
 from .autoencoder import soft_threshold
 from .core import NumericFailure, SeededRng
-from .transforms import SamplingMask, SparsifyingTransform, fft2, sparsify
+# fft2 is unused here, but span tracers patch cs.fft2 by name
+from .transforms import SamplingMask, SparsifyingTransform, fft2, require_pow2_grid, sparsify
 
 
 @dataclass
@@ -24,13 +26,15 @@ class LinearOperator:
 
     The input space is real; measurements may be complex (masked Fourier),
     in which case the adjoint is taken with respect to the real inner
-    product Re<a, b> and returns a real vector.
+    product Re<a, b> and returns a real vector.  ``norm_sq`` is
+    lambda_max(A^T A) where it is known exactly, else None.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
     adjoint: Callable[[np.ndarray], np.ndarray]
     in_dim: int
     out_dim: int
+    norm_sq: float | None = None
 
 
 def operator_from_matrix(a) -> LinearOperator:
@@ -50,26 +54,48 @@ def masked_fourier_operator(
 
     Maps a coefficient vector through the inverse sparsifying transform,
     the unitary FFT and the mask's selection, in the row-major order of
-    the selected locations.
+    the selected locations.  The image is real, so both directions work
+    on the half spectrum (columns 0..W/2): a selected column past W/2 is
+    read as the conjugate of its mirror, and the adjoint inverts the
+    Hermitian part 1/2 (z[k] + conj z[-k]) of the zero-filled spectrum,
+    which is Re(F^H M^T v).  With an orthonormal sparsifier and DC always
+    selected, lambda_max(A^T A) = 1 exactly (a constant image attains it).
     """
-    shape = mask.selected.shape
+    shape = height, width = mask.selected.shape
+    require_pow2_grid(shape)
     sel = np.flatnonzero(mask.selected.ravel())
+    rows, cols = np.divmod(sel, width)
+    half = width // 2 + 1
+    mirror = cols > width // 2
+    # half-spectrum position of each selected coefficient or of its mirror
+    gather = np.where(
+        mirror, (-rows % height) * half + (width - cols), rows * half + cols
+    )
+    # per half-spectrum position: index into append(v, 0) of the selected
+    # value at k, and of the one at -k (sel.size where unselected)
+    slot = np.full(height * width, sel.size)
+    slot[sel] = np.arange(sel.size)
+    hr, hc = np.divmod(np.arange(height * half), half)
+    at_k = slot[hr * width + hc]
+    at_minus_k = slot[(-hr % height) * width + (-hc % width)]
 
     def apply(coeffs):
         image = sparsify(coeffs.reshape(shape), transform, "inverse")
-        return fft2(image, "forward").ravel()[sel]
+        values = scipy.fft.rfft2(image, norm="ortho").ravel()[gather]
+        return np.conjugate(values, out=values, where=mirror)
 
     def adjoint(values):
-        kspace = np.zeros(shape[0] * shape[1], dtype=np.complex128)
-        kspace[sel] = values
-        image = fft2(kspace.reshape(shape), "inverse").real
+        padded = np.append(values, 0)
+        spectrum = 0.5 * (padded[at_k] + padded[at_minus_k].conj())
+        image = scipy.fft.irfft2(spectrum.reshape(height, half), s=shape, norm="ortho")
         return sparsify(image, transform, "forward").ravel()
 
     return LinearOperator(
         apply=apply,
         adjoint=adjoint,
-        in_dim=shape[0] * shape[1],
+        in_dim=height * width,
         out_dim=sel.size,
+        norm_sq=1.0,
     )
 
 
@@ -121,15 +147,19 @@ def ista_solve(
 ) -> CsSolveReport:
     """Iterative soft thresholding for min_x ||y - Ax||_2^2 + lam ||x||_1.
 
-    Step size sigma = 0.95 / lambda_max(A^T A) (power-iteration estimate
-    with a 5% safety margin), gradient step b = x + sigma A^T (y - Ax),
-    shrink at lam * sigma / 2.  Stops when the relative change of x drops
-    below ``tol`` or after ``max_iter`` iterations.
+    Step size sigma = 0.95 / lambda_max(A^T A) with a 5% safety margin,
+    taking lambda_max from ``op.norm_sq`` when the operator knows it and
+    from a power-iteration estimate otherwise; gradient step
+    b = x + sigma A^T (y - Ax), shrink at lam * sigma / 2.  Stops when the
+    relative change of x drops below ``tol`` or after ``max_iter``
+    iterations.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     y = np.asarray(y)
-    top = max_eigenvalue(op, power_iters, power_seed)
+    top = op.norm_sq
+    if top is None:
+        top = max_eigenvalue(op, power_iters, power_seed)
     if top <= 0:
         raise ValueError("operator has zero spectral norm")
     sigma = 0.95 / top

@@ -48,6 +48,12 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
+def require_pow2_grid(shape) -> None:
+    """ValueError unless both dims of a 2-d grid are powers of two."""
+    if not (_is_pow2(shape[0]) and _is_pow2(shape[1])):
+        raise ValueError(f"grid dims must be powers of two, got {tuple(shape)}")
+
+
 # ---------------------------------------------------------------------------
 # Fourier transform and sampling masks
 # ---------------------------------------------------------------------------
@@ -62,8 +68,7 @@ def fft2(grid, direction: str = "forward") -> np.ndarray:
     arr = np.asarray(grid)
     if arr.ndim != 2:
         raise ValueError("expected a 2-d grid")
-    if not (_is_pow2(arr.shape[0]) and _is_pow2(arr.shape[1])):
-        raise ValueError(f"grid dims must be powers of two, got {arr.shape}")
+    require_pow2_grid(arr.shape)
     if direction == "forward":
         return np.fft.fft2(arr, norm="ortho")
     if direction == "inverse":
@@ -428,6 +433,15 @@ class SparsifyingTransform:
         if self.levels < 1:
             raise ValueError("levels must be positive")
 
+    def check_shape(self, shape) -> None:
+        """ValueError unless the transform applies to images of ``shape``:
+        Haar needs both dims divisible by 2**levels, the DCT any shape."""
+        step = 1 << self.levels
+        if self.kind == "haar-wavelet" and (shape[0] % step or shape[1] % step):
+            raise ValueError(
+                f"dims {tuple(shape)} not divisible by 2**levels = {step}"
+            )
+
 
 def _haar_split(block):
     rows = (block[0::2, :] + block[1::2, :]) / math.sqrt(2.0)
@@ -461,12 +475,8 @@ def sparsify(values, transform: SparsifyingTransform, direction: str = "forward"
             return scipy.fft.dctn(arr, norm="ortho")
         return scipy.fft.idctn(arr, norm="ortho")
 
+    transform.check_shape(arr.shape)
     h, w = arr.shape
-    step = 1 << transform.levels
-    if h % step or w % step:
-        raise ValueError(
-            f"dims {arr.shape} not divisible by 2**levels = {step}"
-        )
     out = arr.copy()
     if direction == "forward":
         for level in range(transform.levels):

@@ -343,6 +343,8 @@ class TestBench:
         ["ista_lambda=nan"],
         ["test_count=0"],
         ["corpus_count=1"],
+        ["corpus_size=32", "wavelet_levels=6"],
+        ["corpus_size=48"],
     ], ids=" ".join)
     def test_bad_setting_fails_before_any_work(self, tmp_path, settings):
         out = tmp_path / "out"

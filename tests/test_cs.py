@@ -1,5 +1,7 @@
 """Sparse-recovery baselines: power iteration, ISTA, OMP, image inversion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,16 @@ class TestIsta:
                 if precision + recall:
                     best_f1 = max(best_f1, 2 * precision * recall / (precision + recall))
         assert best_f1 == 1.0
+
+    def test_known_norm_matches_power_iteration_step(self):
+        img = generate_phantom("shepp-logan", 64)
+        mask = make_mask("random", 64, 64, {"fraction": 0.5}, SeededRng(0))
+        op = masked_fourier_operator(mask, SparsifyingTransform("haar-wavelet", 3))
+        y = fft2(img, "forward").ravel()[np.flatnonzero(mask.selected.ravel())]
+        known = ista_solve(op, y, 0.01, 200, 0.0)
+        estimated = ista_solve(dataclasses.replace(op, norm_sq=None), y, 0.01, 200, 0.0)
+        assert op.norm_sq == 1.0
+        assert np.abs(known.solution - estimated.solution).max() <= 1e-9
 
     def test_report_fields_finite(self):
         a = SeededRng(10).normal((8, 12))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dealias.core import SeededRng
 from dealias.metrics import MetricReport, MetricRow, nmse, psnr, ssim
@@ -104,6 +106,15 @@ class TestSsim:
     def test_matches_naive_oracle_on_noise_fixture(self):
         x = SeededRng(7).uniform(32 * 32).reshape(32, 32)
         y = 1.0 - x  # its negative within [0, 1]
+        assert ssim(x, y) == pytest.approx(naive_ssim(x, y), abs=1e-10)
+
+    @settings(max_examples=30)
+    @given(height=st.integers(11, 40), width=st.integers(11, 40), seed=st.integers(0, 2**16))
+    def test_matches_naive_oracle_on_random_shapes(self, height, width, seed):
+        # the separable passes must treat rows and columns alike
+        rng = SeededRng(seed)
+        x = rng.uniform(height * width).reshape(height, width)
+        y = np.clip(x + 0.2 * rng.normal((height, width)), 0.0, 1.0)
         assert ssim(x, y) == pytest.approx(naive_ssim(x, y), abs=1e-10)
 
     def test_symmetry(self):

@@ -29,7 +29,7 @@ from dealias.autoencoder import (
 )
 from dealias.config import CHOICES, DEFAULTS, parse_config_lines, resolve_config
 from dealias.core import SeededRng, read_tensor, write_tensor
-from dealias.cs import masked_fourier_operator
+from dealias.cs import masked_fourier_operator, max_eigenvalue
 from dealias.pipeline import extract_patches, reassemble_patches
 from dealias.transforms import (
     ProjectionSet,
@@ -188,6 +188,9 @@ def test_masked_fourier_adjoint(log_height, log_width, levels, fraction, dct, se
     au = op.apply(u)
     gap = abs(float(np.real(np.vdot(v, au))) - float(u @ op.adjoint(v)))
     assert gap <= 1e-12 * np.linalg.norm(au) * np.linalg.norm(v)
+    # the exact norm ISTA steps by is the one power iteration finds
+    assert op.norm_sq == 1.0
+    assert max_eigenvalue(op, 200) == pytest.approx(op.norm_sq, abs=1e-6)
 
 
 @given(
