@@ -6,17 +6,18 @@ latent code Z), relaxes the two coupling constraints with quadratic penalties
 and relaxation variables B1/B2, and cycles four exact block solves:
 
     P1  sparse residual   -> soft thresholding at 1/(2 lambda)
-    P2  encoder weights   -> ridge least squares against phi^-1(Z - B2);
-                             in anchored runs W_enc G (G + eps I)^-1, G = X_in X_in^T
+    P2  encoder weights   -> ridge least squares against phi^-1(Z - B2)
     P3  decoder weights   -> ridge least squares against X_out - P + B1
     P4  latent code       -> coupled ridge solve of both penalty terms
 
 followed by the relaxation update B <- R ("reflective") or B <- -R
 ("additive"), where R = C - B are the penalized (relaxed) residuals of the
-two coupling constraints.  An anchored run keeps Z = phi(W_enc X_in), so its
-second constraint holds exactly: it carries no B2, and its objective has no
-mu term.  An l2 gradient-descent trainer with the same architecture serves
-as the non-robust baseline.
+two coupling constraints: the ``coupled`` trainer.  The ``anchored`` one
+freezes Z at the random features F = phi(W_0 X_in) of the seeded initial
+encoder, so it has no B2, P2, P4 or mu term, and cycles P1, P3 (F F^T + eps I
+factored once) and the B1 update: scaled ADMM for one least-absolute-deviation
+regression per output pixel (Boyd et al. 2011, section 6.1).  An l2
+gradient-descent trainer with the same architecture is the non-robust baseline.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ from .core import (
 BREGMAN_UPDATES = ("reflective", "additive")
 LATENT_UPDATES = ("coupled", "anchored")
 CLAMP_EPS = 1e-6  # margin that keeps the inverse activation finite
-# the closed interval the inverse activation clamps its argument to
-_INVERSE_DOMAIN = (-1.0 + CLAMP_EPS, 1.0 - CLAMP_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +61,7 @@ def activate(values, direction: str = "forward"):
     if direction == "forward":
         return np.tanh(arr)
     if direction == "inverse":
-        return np.arctanh(np.clip(arr, *_INVERSE_DOMAIN))
+        return np.arctanh(np.clip(arr, -1.0 + CLAMP_EPS, 1.0 - CLAMP_EPS))
     raise ValueError(f"unknown direction: {direction!r}")
 
 
@@ -202,22 +201,23 @@ class SplitBregmanState:
     no settings: the blocks and the objective read them from the
     ``TrainConfig`` they are passed.
 
-    ``b2`` is None in anchored runs: their P4 sets Z = phi(W_enc X_in), so
-    the second constraint holds exactly and B2 would stay zero.  The
-    residual pass, the relaxation update and the objective then leave out
-    C2, R2 and the mu term.
+    ``b2`` is None in anchored runs: their Z is the fixed phi(W_0 X_in), so
+    the second constraint holds exactly.  The cycle then runs no P2 or P4,
+    and leaves C2, R2 and the mu term out.
 
     The trainer owns these arrays and updates P, B1 and B2 in place, so a
     caller that changes one replaces it rather than writing into it.  The
-    state also keeps two products of the cycle, each with the arrays it
+    state also keeps three products of the cycle, each with the arrays it
     was computed from, and a block reuses a product only while exactly
     those arrays (by identity) are current:
 
     - ``gap`` = X_out - W_dec Z, computed by the residual pass and reused
       by the next cycle's P1;
     - ``encoded`` = phi(W_enc X_in), computed by P4 and reused by the
-      residual pass; an anchored Z is this array itself, which tells P2
-      that it may take its closed form.
+      residual pass; an anchored Z is this array itself;
+    - ``feature_gram``, the Cholesky factor of Z Z^T + eps I that P3
+      solves with, so an anchored run factors it once; a coupled P4
+      drops it with the Z it came from.
 
     ``work`` is one d x N scratch array shared by the blocks.  From P3 to
     a coupled P4 it holds the decoder target X_out - P + B1; a block that
@@ -235,6 +235,7 @@ class SplitBregmanState:
     objective_history: list = field(default_factory=list)
     gap: np.ndarray | None = field(default=None, repr=False)
     encoded: np.ndarray | None = field(default=None, repr=False)
+    feature_gram: tuple | None = field(default=None, repr=False)
     work: np.ndarray | None = field(default=None, repr=False)
     p_l1: float = field(default=0.0, repr=False)
     sources: dict = field(default_factory=dict, repr=False)
@@ -268,6 +269,14 @@ class SplitBregmanState:
             self.sources["encoded"] = sources
         return self.encoded
 
+    def feature_gram_for(self, ridge_eps):
+        """Cholesky factor of Z Z^T + eps I."""
+        sources = (self.z, ridge_eps)
+        if not self.computed_from("feature_gram", *sources):
+            self.feature_gram = _gram_factor(self.z, ridge_eps)
+            self.sources["feature_gram"] = sources
+        return self.feature_gram
+
     def decoder_target(self, tset):
         """X_out - P + B1, built in the work array unless it is still there."""
         sources = (tset.x_out, self.p, self.b1)
@@ -282,11 +291,12 @@ class SplitBregmanState:
 class TrainConfig:
     """Robust-trainer and l2-baseline settings.
 
-    ``mu`` weights the second penalty term and affects ``coupled`` runs
-    only: an anchored run has no such term.  The field defaults are the
-    trainer defaults of ``config.DEFAULTS``, which reads them from here
-    through ``config.TRAIN_FIELDS`` and coerces each key to its default's
-    type, so a float default is written as a float.  The pinned
+    ``latent_update`` picks the robust trainer: ``coupled`` cycles P1-P4;
+    ``anchored`` fits the decoder alone on the fixed features phi(W_0 X_in)
+    and has no ``mu`` term.  The field defaults are the trainer defaults
+    of ``config.DEFAULTS``, which reads them from here through
+    ``config.TRAIN_FIELDS`` and coerces each key to its default's type, so
+    a float default is written as a float.  The pinned
     ``SPLIT_STEP_HISTORY_SEED0`` regression relies on the ``ridge_eps``,
     ``bregman_update`` and ``latent_update`` defaults only.
     """
@@ -387,80 +397,45 @@ def update_sparse_residual(model, tset, state, config):
 
 
 def update_encoder(model, tset, state, config, input_gram=None):
-    """P2: fit pre-activations to the inverse-activated latent target.
-
-    The fit is W_enc = phi^-1(Z - B2) X_in^T (G + eps I)^-1 with the input
-    Gram matrix G = X_in X_in^T.  When the state has no B2 and Z is the
-    state's phi(W_enc X_in) for the current W_enc and X_in (an anchored
-    run), the target is W_enc X_in itself, unless an entry of Z reached
-    the clip of the inverse activation.  The fit is then
-
-        W_enc G (G + eps I)^-1 = W_enc - eps W_enc (G + eps I)^-1,
-
-    an h-row solve against the factor in place of an h x N inverse
-    activation and an h x (d+1) x N product.  Any other Z takes the
-    general fit.  ``input_gram`` may carry the (iteration invariant)
+    """P2 (coupled runs): W_enc = phi^-1(Z - B2) X_in^T (G + eps I)^-1 with
+    G = X_in X_in^T.  ``input_gram`` may carry the (iteration invariant)
     Cholesky factor of G + eps I so the trainer can factor it once.
     """
     if input_gram is None:
         input_gram = _gram_factor(tset.x_in, config.ridge_eps)
-    if _z_is_current_encoding(model, tset, state):
-        model.w_enc = model.w_enc - config.ridge_eps * scipy.linalg.cho_solve(
-            input_gram, model.w_enc.T
-        ).T
-        return
-    latent = state.z if state.b2 is None else state.z - state.b2
-    target = activate(latent, "inverse")
+    target = activate(state.z - state.b2, "inverse")
     model.w_enc = scipy.linalg.cho_solve(input_gram, tset.x_in @ target.T).T
 
 
-def _z_is_current_encoding(model, tset, state):
-    """True when phi^-1(Z - B2) is W_enc X_in: there is no B2, Z is the
-    state's phi(W_enc X_in) for the current arrays, and no entry of Z
-    reached the inverse activation's clip."""
-    if state.b2 is not None or state.z is not state.encoded:
-        return False
-    if not state.computed_from("encoded", tset.x_in, model.w_enc):
-        return False
-    low, high = _INVERSE_DOMAIN
-    return bool(low < state.z.min() and state.z.max() < high)
-
-
 def update_decoder(model, tset, state, config):
-    """P3: refit the decoder against the residual-corrected targets
-    X_out - P + B1, left in the work array for a coupled P4."""
-    model.w_dec = solve_ridge_least_squares(
-        state.z, state.decoder_target(tset), config.ridge_eps, side="left"
-    )
+    """P3: ``solve_ridge_least_squares(Z, X_out - P + B1, eps)`` bit for bit,
+    with the factor of Z Z^T + eps I kept by the state (an anchored run
+    factors it once) and the target left in the work array for a coupled P4.
+    """
+    target = state.decoder_target(tset)
+    model.w_dec = scipy.linalg.cho_solve(
+        state.feature_gram_for(config.ridge_eps), state.z @ target.T
+    ).T
 
 
 def update_latent(model, tset, state, config):
-    """P4: latent code solve; the state's B2 selects the variant.
-
-    With B2 (coupled runs) it minimizes both penalty terms jointly:
+    """P4 (coupled runs): the latent code solve that minimizes both penalty
+    terms jointly,
 
         (lam W_dec^T W_dec + (mu + eps) I) Z = lam W_dec^T M + mu N
 
     with M = X_out - P + B1 and N = phi(W_enc X_in) + B2, which is the
-    exact block minimizer of the relaxed objective over Z.  Without B2
-    (anchored runs) it sets Z = phi(W_enc X_in), the closed form of the
-    second term alone; this freezes the latent code to the encoder's
-    output, which is markedly more stable when samples are scarce.  Both
-    compute phi(W_enc X_in) through the state, where the residual pass
-    finds it; an anchored Z is that array itself.  ``config.latent_update``
-    only decides whether :func:`_initial_state` gives a run B2, so a
-    hand-built state with B2 takes the coupled solve even under an
-    anchored config, and one without B2 anchors under a coupled config.
+    exact block minimizer of the relaxed objective over Z.  It computes
+    phi(W_enc X_in) through the state, where the residual pass finds it,
+    and needs the state's B2 whatever ``config.latent_update`` says.
     """
     anchor = state.encoded_for(model, tset)
-    if state.b2 is None:
-        state.z = anchor
-        return
     gram = config.lam * (model.w_dec.T @ model.w_dec)
     gram[np.diag_indices_from(gram)] += config.mu + config.ridge_eps
     rhs = config.lam * (model.w_dec.T @ state.decoder_target(tset))
     rhs += config.mu * (anchor + state.b2)
     state.z = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs)
+    state.sources.pop("feature_gram", None)  # it would keep the old Z alive
 
 
 def update_relaxation(model, tset, state, config):
@@ -482,18 +457,22 @@ def update_relaxation(model, tset, state, config):
 
 
 def split_bregman_step(model, tset, state, config, input_gram=None):
-    """One full training cycle: P1 -> P2 -> P3 -> P4, then relaxation update.
+    """One training cycle: P1 -> P2 -> P3 -> P4 with B2 (coupled), P1 -> P3
+    without (anchored: Z and W_enc stay fixed), then relaxation update.
 
-    The constraint residuals are evaluated once, after P4, and update the
-    relaxation variables the cycle was solved with.  B is then R or -R, so
-    the objective appended to ``state.objective_history`` takes its
-    penalty terms from B.
+    The constraint residuals are evaluated once, after the last block, and
+    update the relaxation variables the cycle was solved with.  B is then
+    R or -R, so the objective appended to ``state.objective_history``
+    takes its penalty terms from B.
     Returns the mutated (model, state) pair.
     """
+    coupled = state.b2 is not None
     update_sparse_residual(model, tset, state, config)
-    update_encoder(model, tset, state, config, input_gram)
+    if coupled:
+        update_encoder(model, tset, state, config, input_gram)
     update_decoder(model, tset, state, config)
-    update_latent(model, tset, state, config)
+    if coupled:
+        update_latent(model, tset, state, config)
     update_relaxation(model, tset, state, config)
     objective = penalty_objective(model, tset, state, config, (state.b1, state.b2))
     if not (
@@ -515,9 +494,10 @@ def _initial_weights(d, config):
 
 
 def _initial_state(model, tset, config):
-    """The state a run starts from: Z is the state's own phi(W_enc X_in),
-    B1 = 0, and B2 = 0 in coupled runs only.  P is allocated but not set,
-    since P1 writes it before anything reads it."""
+    """The state a run starts from: Z is the state's own phi(W_enc X_in)
+    (an anchored run's fixed features), B1 = 0, and B2 = 0 in coupled runs
+    only.  P is allocated but not set, since P1 writes it before anything
+    reads it."""
     state = SplitBregmanState(
         p=np.empty_like(tset.x_out),
         z=None,
@@ -548,13 +528,14 @@ def train_robust(tset: TrainingSet, config: TrainConfig):
     and the state by :func:`_initial_state`, then iterates
     :func:`split_bregman_step` until the relative objective change stays
     below ``rel_tol`` across a window of five objective values or
-    ``max_iter`` cycles are done.  Returns the trained model together
-    with the final solver state.
+    ``max_iter`` cycles are done.  Only a coupled run factors the input
+    Gram matrix, for P2.  Returns the trained model together with the
+    final solver state.
     """
     d = tset.x_out.shape[0]
     model = _initial_weights(d, config)
     state = _initial_state(model, tset, config)
-    input_gram = _gram_factor(tset.x_in, config.ridge_eps)
+    input_gram = None if state.b2 is None else _gram_factor(tset.x_in, config.ridge_eps)
     for _ in range(config.max_iter):
         split_bregman_step(model, tset, state, config, input_gram)
         if _window_converged(state.objective_history, config.rel_tol):

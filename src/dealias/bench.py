@@ -106,8 +106,10 @@ def run_benchmark(config: RunConfig, outdir) -> BenchResult:
     _ensure_corpus(config, train_entries + test_entries)
 
     tset = build_training_set(train_entries, spec, patch_size, config["train_overlap"])
-    (robust_model, _), robust_seconds = _timed(train_robust, tset, tconf)
+    # the l2 baseline first: a divergence raises within its few epochs,
+    # before the longer robust run
     l2_model, l2_seconds = _timed(train_l2_baseline, tset, tconf)
+    (robust_model, _), robust_seconds = _timed(train_robust, tset, tconf)
 
     use_ista = spec.modality == "mri"
     reports = {m: MetricReport(rows=[]) for m in METHODS if use_ista or m != "ista"}

@@ -94,12 +94,26 @@ class SeededRng:
                 return v % upper
 
     def choice(self, n: int, k: int) -> np.ndarray:
-        """``k`` distinct indices from {0, ..., n-1} (partial Fisher-Yates)."""
+        """``k`` distinct indices from {0, ..., n-1} (partial Fisher-Yates),
+        step i swapping in ``i + self.integer(n - i)``.  The raws are drawn
+        in one batch; from the first that :meth:`integer` rejects, the
+        steps draw one at a time, so the stream is the sequential one."""
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
+        start = self._count
+        draws = self.raw(k)
+        uppers = np.uint64(n) - np.arange(k, dtype=np.uint64)
+        # integer() rejects v >= 2**64 - 2**64 % upper
+        excess = (np.uint64(_MASK64) % uppers + np.uint64(1)) % uppers
+        rejected = np.flatnonzero(draws > np.uint64(_MASK64) - excess)
+        accepted = int(rejected[0]) if rejected.size else k
+        offsets = (draws[:accepted] % uppers[:accepted]).tolist()
+        if accepted < k:
+            self._count = start + accepted + 1
+            offsets += [self.integer(n - i) for i in range(accepted, k)]
         pool = np.arange(n)
-        for i in range(k):
-            j = i + self.integer(n - i)
+        for i, offset in enumerate(offsets):
+            j = i + offset
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k].copy()
 

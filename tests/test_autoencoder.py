@@ -8,11 +8,11 @@ import pytest
 import scipy.linalg
 
 import dealias as d
+from dealias import autoencoder
 from dealias.autoencoder import (
     BREGMAN_UPDATES,
     LATENT_UPDATES,
     SplitBregmanState,
-    _INVERSE_DOMAIN,
     _gram_factor,
     _initial_state,
     _initial_weights,
@@ -296,13 +296,6 @@ class TestLatentVariantFromState:
         update_latent(model, tset, state, config)
         assert np.abs(state.z - oracle).max() <= 1e-8 * np.abs(oracle).max()
 
-    def test_state_without_b2_anchors_under_coupled_config(self):
-        config = d.TrainConfig(hidden=5, lam=1.3, mu=0.7, seed=1, latent_update="coupled")
-        model, tset, state = self._state(config, None)
-        update_latent(model, tset, state, config)
-        assert state.z is state.encoded
-        assert np.array_equal(state.z, activate(model.w_enc @ tset.x_in))
-
 
 def split_step_tail(model, tset, state, config):
     """Finish a manually unrolled cycle (relaxation update + bookkeeping)."""
@@ -331,12 +324,18 @@ SPLIT_STEP_HISTORY_SEED0 = [
 def unshared_cycle(model, tset, state, config):
     """One cycle as written before the residuals were shared: the objective
     and the relaxation update (B <- c - B, B <- B - c) each evaluate the
-    constraints themselves.  Without B2 (anchored) the second constraint
-    must hold exactly and adds nothing."""
+    constraints themselves, and P3 is the plain ridge solve.  Without B2
+    (anchored) there is no P2 or P4, and the second constraint must hold
+    exactly and add nothing."""
+    coupled = state.b2 is not None
     update_sparse_residual(model, tset, state, config)
-    update_encoder(model, tset, state, config)
-    update_decoder(model, tset, state, config)
-    update_latent(model, tset, state, config)
+    if coupled:
+        update_encoder(model, tset, state, config)
+    model.w_dec = solve_ridge_least_squares(
+        state.z, tset.x_out - state.p + state.b1, config.ridge_eps
+    )
+    if coupled:
+        update_latent(model, tset, state, config)
     r1 = state.p - (tset.x_out - model.w_dec @ state.z) - state.b1
     objective = float(np.abs(state.p).sum()) + config.lam * float((r1 * r1).sum())
     c1 = state.p - (tset.x_out - model.w_dec @ state.z)
@@ -388,8 +387,8 @@ class TestRelaxationIdentity:
 
     @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
     def test_anchored_run_has_no_b2_and_pinned_bytes(self, bregman):
-        # P4 sets Z = phi(W_enc X_in), so the run carries no B2 and no C2;
-        # its objective history and weights are pinned byte for byte
+        # Z stays phi(W_0 X_in), so the run carries no B2 and no C2; its
+        # objective history and weights are pinned byte for byte
         config = d.TrainConfig(
             hidden=8, lam=20.0, ridge_eps=1e-2, max_iter=10, rel_tol=0.0,
             bregman_update=bregman, latent_update="anchored",
@@ -409,22 +408,26 @@ class TestRelaxationIdentity:
 ANCHORED_PINS = {
     "reflective": (
         [
-            709.8547062622534, 684.6146044027334, 662.7581256156628, 640.764042388094,
-            619.2472136896391, 597.8342707441026, 576.7975865566619, 556.0838380642969,
-            535.8230232724047, 516.0713372758495,
+            709.8387619382701, 684.5997437388849, 662.82186652563, 640.912896263296,
+            619.4715815458642, 598.1402561111312, 577.1740944007635, 556.5222124558762,
+            536.3347431731395, 516.6546651039704,
         ],
-        "b3b2a04d20693fc09e44947049890832c074461b0df984946e04332c8ca8a931",
+        "06747aef30d151098546a0d3c55c58b2228f21bbc44245e1b82bff3069c125ad",
     ),
     "additive": (
         [
-            709.8547062622534, 690.8957068082576, 669.1361798614811, 647.6836760372295,
-            626.6194740114456, 605.9036207019474, 585.4405716025672, 565.3081548568749,
-            545.6868844817337, 526.7733359072374,
+            709.8387619382701, 691.0336502854324, 669.3439134915524, 647.9767796074742,
+            626.9965625494114, 606.3699848700104, 585.97857020826, 565.891315552603,
+            546.324308181745, 527.4981847361815,
         ],
-        "def74159b4004c1067a903e40ef729f328b58b8bb13042373cca00f7568c357b",
+        "efa237f9ab27ba053b81d15a894437c51002d65b239428f09c3d0e872cffd476",
     ),
 }
 
+
+# the blocks of one cycle, before the relaxation update
+COUPLED_BLOCKS = (update_sparse_residual, update_encoder, update_decoder, update_latent)
+ANCHORED_BLOCKS = (update_sparse_residual, update_decoder)
 
 VARIANTS = pytest.mark.parametrize(
     "latent, bregman",
@@ -478,7 +481,7 @@ class TestCycleBuffers:
                 if not one_at_a_time:
                     split_bregman_step(model, tset, state, config)
                     continue
-                for block in (update_sparse_residual, update_encoder, update_decoder, update_latent):
+                for block in ANCHORED_BLOCKS if state.b2 is None else COUPLED_BLOCKS:
                     first = penalty_objective(model, tset, state, config)
                     assert penalty_objective(model, tset, state, config) == first
                     block(model, tset, state, config)
@@ -536,51 +539,83 @@ class TestCycleBuffers:
             split_bregman_step(model, tset, state, config)
 
 
-def general_encoder_fit(model, tset, state, config):
-    """P2's ridge fit phi^-1(Z - B2) X_in^T (G + eps I)^-1, as written
-    before the anchored closed form."""
-    latent = state.z if state.b2 is None else state.z - state.b2
-    target = activate(latent, "inverse")
-    gram = _gram_factor(tset.x_in, config.ridge_eps)
-    return scipy.linalg.cho_solve(gram, tset.x_in @ target.T).T
-
-
 class TestEncoderUpdate:
-    """Anchored P2 takes its closed form only while Z is the state's own,
-    unclipped phi(W_enc X_in) and there is no B2; any other state gets the
-    general ridge fit, bit for bit."""
-
-    def _anchored(self, scale=1.0):
-        config = d.TrainConfig(hidden=8, lam=20.0, ridge_eps=1e-2, latent_update="anchored")
+    def test_state_with_b2_takes_ridge_fit(self):
+        # P2 is the ridge fit of phi^-1(Z - B2) X_in^T (G + eps I)^-1, bit for bit
+        config = d.TrainConfig(hidden=8, lam=20.0, ridge_eps=1e-2, latent_update="coupled")
         tset = toy_training_set(dim=16, count=40, seed=5)
         model = _initial_weights(16, config)
-        model.w_enc = model.w_enc * scale
-        return model, tset, fresh_state(model, tset, config), config
-
-    def test_anchored_state_takes_closed_form(self):
-        model, tset, state, config = self._anchored()
+        state = fresh_state(model, tset, config)
+        state.b2 = 0.1 * SeededRng(6).normal(state.z.shape)
+        target = activate(state.z - state.b2, "inverse")
         gram = _gram_factor(tset.x_in, config.ridge_eps)
-        closed = model.w_enc - config.ridge_eps * scipy.linalg.cho_solve(gram, model.w_enc.T).T
-        general = general_encoder_fit(model, tset, state, config)
-        update_encoder(model, tset, state, config, gram)
-        assert model.w_enc.tobytes() == closed.tobytes()
-        assert np.abs(model.w_enc - general).max() <= 1e-9 * np.abs(general).max()
-
-    @pytest.mark.parametrize("case", ["clipped", "replaced-z", "replaced-w_enc", "with-b2"])
-    def test_other_states_take_general_fit(self, case):
-        model, tset, state, config = self._anchored(1e3 if case == "clipped" else 1.0)
-        if case == "clipped":
-            low, high = _INVERSE_DOMAIN
-            assert state.z.min() <= low or state.z.max() >= high
-        elif case == "replaced-z":
-            state.z = state.z.copy()
-        elif case == "replaced-w_enc":
-            model.w_enc = model.w_enc.copy()
-        else:
-            state.b2 = np.zeros_like(state.z)
-        expected = general_encoder_fit(model, tset, state, config)
+        expected = scipy.linalg.cho_solve(gram, tset.x_in @ target.T).T
         update_encoder(model, tset, state, config)
         assert model.w_enc.tobytes() == expected.tobytes()
+
+
+class TestFrozenFeatures:
+    """An anchored run fits the decoder on F = phi(W_0 X_in), which it
+    never recomputes, and factors F F^T + eps I once."""
+
+    def _config(self, bregman, latent="anchored"):
+        return d.TrainConfig(
+            hidden=8, lam=20.0, ridge_eps=1e-2, max_iter=6, rel_tol=0.0,
+            bregman_update=bregman, latent_update=latent,
+        )
+
+    @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
+    def test_encoder_and_features_stay_initial(self, bregman):
+        config = self._config(bregman)
+        tset = toy_training_set(dim=16, count=64, seed=0)
+        model, state = d.train_robust(tset, config)
+        w0 = _initial_weights(16, config).w_enc
+        assert model.w_enc.tobytes() == w0.tobytes()
+        assert state.z.tobytes() == activate(w0 @ tset.x_in).tobytes()
+
+    @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
+    def test_each_decoder_is_the_ridge_solve(self, bregman, monkeypatch):
+        # W_dec after cycle k solves against X_out - P_k + B1_{k-1}
+        config = self._config(bregman)
+        tset = toy_training_set(dim=16, count=64, seed=1)
+        step = autoencoder.split_bregman_step
+        checked = []
+
+        def checked_step(model, tset, state, config, input_gram=None):
+            b1 = state.b1.copy()
+            step(model, tset, state, config, input_gram)
+            expected = solve_ridge_least_squares(
+                state.z, tset.x_out - state.p + b1, config.ridge_eps
+            )
+            assert model.w_dec.tobytes() == expected.tobytes()
+            checked.append(state.iteration)
+            return model, state
+
+        monkeypatch.setattr(autoencoder, "split_bregman_step", checked_step)
+        d.train_robust(tset, config)
+        assert checked == list(range(1, config.max_iter + 1))
+
+    @pytest.mark.parametrize("latent", LATENT_UPDATES)
+    def test_input_gram_only_in_coupled_runs(self, latent, monkeypatch):
+        # anchored: one factor, of F F^T; coupled: the input Gram once, plus
+        # one F F^T per cycle since its Z changes
+        config = self._config("additive", latent)
+        tset = toy_training_set(dim=16, count=64, seed=2)
+        factored = []
+        gram_factor = autoencoder._gram_factor
+
+        def recording(a, ridge_eps):
+            factored.append(a)
+            return gram_factor(a, ridge_eps)
+
+        monkeypatch.setattr(autoencoder, "_gram_factor", recording)
+        _, state = d.train_robust(tset, config)
+        on_input = [a is tset.x_in for a in factored]
+        if latent == "anchored":
+            assert on_input == [False]
+            assert factored[0] is state.z
+        else:
+            assert on_input == [True] + [False] * config.max_iter
 
 
 class TestTrainRobust:

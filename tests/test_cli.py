@@ -371,6 +371,18 @@ class TestBench:
         assert "train_manifest and test_manifest" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_l2_divergence_exits_3_before_robust_training(self, tmp_path, monkeypatch, capsys):
+        from dealias import bench
+
+        robust_calls = []
+        monkeypatch.setattr(bench, "train_robust", lambda *args: robust_calls.append(args))
+        argv = bench_args(tmp_path, tmp_path / "out") + [
+            "--set", "l2_learning_rate=10", "--set", "l2_epochs=50",
+        ]
+        assert command_dispatch(argv) == 3
+        assert "l2 training diverged" in capsys.readouterr().err
+        assert robust_calls == []
+
     def test_methods_in_summary(self, tmp_path):
         out = tmp_path / "run"
         assert command_dispatch(bench_args(tmp_path, out)) == 0

@@ -1,6 +1,6 @@
 """Invariants of the patch, projection, Fourier and sparsifying kernels, the
-encoder update, the RNG stream, and the tensor, model bundle and config file
-formats over randomized shapes and values."""
+RNG stream, and the tensor, model bundle and config file formats over
+randomized shapes and values."""
 
 import os
 import tempfile
@@ -8,7 +8,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given
@@ -16,17 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dealias import transforms
-from dealias.autoencoder import (
-    AutoencoderModel,
-    TrainConfig,
-    TrainingSet,
-    _gram_factor,
-    _initial_state,
-    _initial_weights,
-    load_model,
-    save_model,
-    update_encoder,
-)
+from dealias.autoencoder import AutoencoderModel, load_model, save_model
 from dealias.config import CHOICES, DEFAULTS, parse_config_lines, resolve_config
 from dealias.core import SeededRng, read_tensor, write_tensor
 from dealias.cs import masked_fourier_operator, max_eigenvalue
@@ -210,63 +199,6 @@ def test_sparsifying_transform_is_orthonormal(levels, rows, cols, dct, seed):
     assert np.abs(sparsify(fx, transform, "inverse") - x).max() <= 1e-12
 
 
-def encoder_updates(dim, count, hidden, ridge, seed):
-    """P2 from an anchored start, once in closed form and once through the
-    general fit (forced by a copy of Z); also returns the start."""
-    config = TrainConfig(hidden=hidden, ridge_eps=ridge, latent_update="anchored", seed=seed)
-    values = SeededRng(seed).uniform(dim * count).reshape(dim, count)
-    tset = TrainingSet.from_arrays(values, values)
-    model = _initial_weights(dim, config)
-    state = _initial_state(model, tset, config)
-    start = model.w_enc
-    update_encoder(model, tset, state, config)
-    closed = model.w_enc
-    model.w_enc, state.z = start, state.z.copy()
-    update_encoder(model, tset, state, config)
-    return tset, start, closed, model.w_enc
-
-
-ENCODER_SHAPES = dict(
-    dim=st.integers(1, 48),
-    count=st.integers(1, 200),
-    hidden=st.integers(1, 24),
-    seed=st.integers(0, 2**16),
-)
-
-
-@given(log_ridge=st.floats(-4.0, 0.0), **ENCODER_SHAPES)
-def test_closed_form_encoder_update_matches_general_fit(dim, count, hidden, log_ridge, seed):
-    # the closed form W - eps W (G + eps I)^-1 is taken, and equals the
-    # ridge fit of phi^-1(Z); below ridge 1e-4 the Cholesky factor of
-    # G + eps I limits both (at 1e-6 they differ by about 1e-8), which the
-    # next property bounds against an SVD reference
-    ridge = 10.0 ** log_ridge
-    tset, start, closed, general = encoder_updates(dim, count, hidden, ridge, seed)
-    gram = _gram_factor(tset.x_in, ridge)
-    expected = start - ridge * scipy.linalg.cho_solve(gram, start.T).T
-    assert closed.tobytes() == expected.tobytes()
-    assert np.abs(closed - general).max() <= 1e-9 * np.abs(general).max()
-
-
-@given(log_ridge=st.floats(-8.0, 0.0), **ENCODER_SHAPES)
-def test_closed_form_encoder_update_within_conditioning_of_svd(
-    dim, count, hidden, log_ridge, seed
-):
-    # W G (G + eps I)^-1 = W U diag(s^2 / (s^2 + eps)) U^T with X_in = U S V^T;
-    # a Cholesky solve is accurate to about u * cond(G + eps I), and the
-    # products on either side add rounding of order u * (d + 1), all relative
-    # to W, from which the closed form subtracts a term of W's size
-    ridge = 10.0 ** log_ridge
-    tset, start, closed, _ = encoder_updates(dim, count, hidden, ridge, seed)
-    u, s, _ = np.linalg.svd(tset.x_in)
-    s2 = np.zeros(u.shape[0])
-    s2[: s.size] = s * s
-    reference = ((start @ u) * (s2 / (s2 + ridge))) @ u.T
-    cond = (s2.max() + ridge) / ridge
-    bound = np.finfo(np.float64).eps * (cond + 10 * (dim + 1)) * np.abs(start).max()
-    assert np.abs(closed - reference).max() <= bound
-
-
 @given(
     seed=st.integers(0, 2**64 - 1),
     first=st.integers(0, 300),
@@ -278,6 +210,43 @@ def test_batched_rng_draws_equal_sequential_draws(seed, first, second, method):
     draw = getattr(SeededRng(seed), method)
     sequential = np.concatenate([draw(first), draw(second)])
     assert batched.tobytes() == sequential.tobytes()
+
+
+def loop_choice(rng, n, k):
+    """Partial Fisher-Yates with one ``integer`` draw per step."""
+    pool = np.arange(n)
+    for i in range(k):
+        j = i + rng.integer(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k].copy()
+
+
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 400), data=st.data())
+def test_batched_choice_equals_sequential_loop(seed, n, data):
+    k = data.draw(st.integers(0, n))
+    rng, ref = SeededRng(seed), SeededRng(seed)
+    assert rng.choice(n, k).tobytes() == loop_choice(ref, n, k).tobytes()
+    assert rng.raw(2).tobytes() == ref.raw(2).tobytes()  # same stream position
+
+
+def test_batched_choice_falls_back_at_a_rejection():
+    # the 4th and 9th draws of the stream become 2**64 - 1, which integer()
+    # rejects for any upper but a power of two: steps 3 and 7 (uppers 997
+    # and 993) each take one more draw, the second in the sequential tail
+    raw = SeededRng.raw
+
+    def rejecting_raw(self, n):
+        first = self._count + 1
+        out = raw(self, n)
+        for position in (4, 9):
+            if first <= position < first + n:
+                out[position - first] = np.uint64(2**64 - 1)
+        return out
+
+    with mock.patch.object(SeededRng, "raw", rejecting_raw):
+        rng, ref = SeededRng(5), SeededRng(5)
+        assert rng.choice(1000, 20).tobytes() == loop_choice(ref, 1000, 20).tobytes()
+        assert rng._count == ref._count == 22
 
 
 @given(
