@@ -207,24 +207,25 @@ class SplitBregmanState:
 
     The trainer owns these arrays and updates P, B1 and B2 in place, so a
     caller that changes one replaces it rather than writing into it.  The
-    state also keeps three products of the cycle, each with the arrays it
-    was computed from, and a block reuses a product only while exactly
-    those arrays (by identity) are current:
+    state also keeps products of the cycle, each with the arrays it was
+    computed from, and a block reuses a product only while exactly those
+    arrays (by identity) are current:
 
     - ``gap`` = X_out - W_dec Z, computed by the residual pass and reused
       by the next cycle's P1;
     - ``encoded`` = phi(W_enc X_in), computed by P4 and reused by the
       residual pass; an anchored Z is this array itself;
-    - ``feature_gram``, the Cholesky factor of Z Z^T + eps I that P3
-      solves with, so an anchored run factors it once; a coupled P4
-      drops it with the Z it came from.
+    - ``grams``, the Cholesky factors of A A^T + eps I that the ridge
+      blocks solve with: ``"input"`` (A = X_in) for P2, factored once per
+      run, and ``"feature"`` (A = Z) for P3, factored once in an anchored
+      run; a coupled P4 drops the latter with the Z it came from.
 
     ``work`` is one d x N scratch array shared by the blocks.  From P3 to
     a coupled P4 it holds the decoder target X_out - P + B1; a block that
     writes the work array, P or B1 otherwise drops that entry of
     ``sources``.  ``p_l1`` is ||P||_1, kept by P1.  ``gap`` and ``work``
-    are allocated on first use, and :func:`train_robust` lets them go
-    when it returns.
+    are allocated on first use, and :func:`train_robust` lets them and
+    ``grams`` go when it returns.
     """
 
     p: np.ndarray
@@ -235,7 +236,7 @@ class SplitBregmanState:
     objective_history: list = field(default_factory=list)
     gap: np.ndarray | None = field(default=None, repr=False)
     encoded: np.ndarray | None = field(default=None, repr=False)
-    feature_gram: tuple | None = field(default=None, repr=False)
+    grams: dict = field(default_factory=dict, repr=False)
     work: np.ndarray | None = field(default=None, repr=False)
     p_l1: float = field(default=0.0, repr=False)
     sources: dict = field(default_factory=dict, repr=False)
@@ -269,13 +270,13 @@ class SplitBregmanState:
             self.sources["encoded"] = sources
         return self.encoded
 
-    def feature_gram_for(self, ridge_eps):
-        """Cholesky factor of Z Z^T + eps I."""
-        sources = (self.z, ridge_eps)
-        if not self.computed_from("feature_gram", *sources):
-            self.feature_gram = _gram_factor(self.z, ridge_eps)
-            self.sources["feature_gram"] = sources
-        return self.feature_gram
+    def gram_for(self, name, a, ridge_eps):
+        """Cholesky factor of a a^T + eps I, kept as ``grams[name]``."""
+        sources = (a, ridge_eps)
+        if not self.computed_from(name, *sources):
+            self.grams[name] = _gram_factor(a, ridge_eps)
+            self.sources[name] = sources
+        return self.grams[name]
 
     def decoder_target(self, tset):
         """X_out - P + B1, built in the work array unless it is still there."""
@@ -296,9 +297,7 @@ class TrainConfig:
     and has no ``mu`` term.  The field defaults are the trainer defaults
     of ``config.DEFAULTS``, which reads them from here through
     ``config.TRAIN_FIELDS`` and coerces each key to its default's type, so
-    a float default is written as a float.  The pinned
-    ``SPLIT_STEP_HISTORY_SEED0`` regression relies on the ``ridge_eps``,
-    ``bregman_update`` and ``latent_update`` defaults only.
+    a float default is written as a float.
     """
 
     hidden: int = 256
@@ -396,13 +395,11 @@ def update_sparse_residual(model, tset, state, config):
     np.multiply(np.sign(v, out=v), shrunk, out=state.p)
 
 
-def update_encoder(model, tset, state, config, input_gram=None):
+def update_encoder(model, tset, state, config):
     """P2 (coupled runs): W_enc = phi^-1(Z - B2) X_in^T (G + eps I)^-1 with
-    G = X_in X_in^T.  ``input_gram`` may carry the (iteration invariant)
-    Cholesky factor of G + eps I so the trainer can factor it once.
+    G = X_in X_in^T, whose (iteration invariant) factor the state keeps.
     """
-    if input_gram is None:
-        input_gram = _gram_factor(tset.x_in, config.ridge_eps)
+    input_gram = state.gram_for("input", tset.x_in, config.ridge_eps)
     target = activate(state.z - state.b2, "inverse")
     model.w_enc = scipy.linalg.cho_solve(input_gram, tset.x_in @ target.T).T
 
@@ -414,7 +411,7 @@ def update_decoder(model, tset, state, config):
     """
     target = state.decoder_target(tset)
     model.w_dec = scipy.linalg.cho_solve(
-        state.feature_gram_for(config.ridge_eps), state.z @ target.T
+        state.gram_for("feature", state.z, config.ridge_eps), state.z @ target.T
     ).T
 
 
@@ -435,7 +432,7 @@ def update_latent(model, tset, state, config):
     rhs = config.lam * (model.w_dec.T @ state.decoder_target(tset))
     rhs += config.mu * (anchor + state.b2)
     state.z = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs)
-    state.sources.pop("feature_gram", None)  # it would keep the old Z alive
+    state.sources.pop("feature", None)  # it would keep the old Z alive
 
 
 def update_relaxation(model, tset, state, config):
@@ -446,7 +443,6 @@ def update_relaxation(model, tset, state, config):
     positive.  A state without B2 updates B1 only.
     """
     c1, c2 = constraint_residuals(model, tset, state)
-    state.sources.pop("work", None)
     for c, b in ((c1, state.b1), (c2, state.b2)):
         if b is None:
             continue
@@ -456,7 +452,7 @@ def update_relaxation(model, tset, state, config):
             np.subtract(b, c, out=b)
 
 
-def split_bregman_step(model, tset, state, config, input_gram=None):
+def split_bregman_step(model, tset, state, config):
     """One training cycle: P1 -> P2 -> P3 -> P4 with B2 (coupled), P1 -> P3
     without (anchored: Z and W_enc stay fixed), then relaxation update.
 
@@ -469,7 +465,7 @@ def split_bregman_step(model, tset, state, config, input_gram=None):
     coupled = state.b2 is not None
     update_sparse_residual(model, tset, state, config)
     if coupled:
-        update_encoder(model, tset, state, config, input_gram)
+        update_encoder(model, tset, state, config)
     update_decoder(model, tset, state, config)
     if coupled:
         update_latent(model, tset, state, config)
@@ -528,19 +524,19 @@ def train_robust(tset: TrainingSet, config: TrainConfig):
     and the state by :func:`_initial_state`, then iterates
     :func:`split_bregman_step` until the relative objective change stays
     below ``rel_tol`` across a window of five objective values or
-    ``max_iter`` cycles are done.  Only a coupled run factors the input
-    Gram matrix, for P2.  Returns the trained model together with the
-    final solver state.
+    ``max_iter`` cycles are done.  Returns the trained model together with
+    the final solver state.
     """
     d = tset.x_out.shape[0]
     model = _initial_weights(d, config)
     state = _initial_state(model, tset, config)
-    input_gram = None if state.b2 is None else _gram_factor(tset.x_in, config.ridge_eps)
     for _ in range(config.max_iter):
-        split_bregman_step(model, tset, state, config, input_gram)
+        split_bregman_step(model, tset, state, config)
         if _window_converged(state.objective_history, config.rel_tol):
             break
-    state.gap = state.work = None  # the d x N scratch stays with the trainer
+    # the d x N scratch and the (d+1)^2 factor stay with the trainer
+    state.gap = state.work = None
+    state.grams.clear()
     state.sources.clear()
     return model, state
 

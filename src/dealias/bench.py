@@ -91,7 +91,6 @@ def run_benchmark(config: RunConfig, outdir) -> BenchResult:
     patch_size = config["patch_size"]
     overlap = config["overlap"]
     patch_stride(patch_size, overlap)
-    patch_stride(patch_size, config["train_overlap"])
     if config["ista_lambda"] < 0:
         raise ValueError("ista_lambda must be nonnegative")
     if config["timing_reps"] < 1:
@@ -105,7 +104,7 @@ def run_benchmark(config: RunConfig, outdir) -> BenchResult:
     os.makedirs(outdir, exist_ok=True)
     _ensure_corpus(config, train_entries + test_entries)
 
-    tset = build_training_set(train_entries, spec, patch_size, config["train_overlap"])
+    tset = build_training_set(train_entries, spec, patch_size, overlap)
     # the l2 baseline first: a divergence raises within its few epochs,
     # before the longer robust run
     l2_model, l2_seconds = _timed(train_l2_baseline, tset, tconf)

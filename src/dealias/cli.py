@@ -21,6 +21,7 @@ from .autoencoder import (
 from .config import (
     CHOICES,
     DEFAULTS,
+    TRAIN_FIELDS,
     degradation_spec,
     load_config_file,
     resolve_config,
@@ -50,10 +51,7 @@ _DEGRADATION_KEYS = (
 )
 _CONFIG_KEYS = {
     "degrade": _DEGRADATION_KEYS,
-    "train": (
-        "hidden", "lambda", "mu", "max_iter", "rel_tol", "bregman_update",
-        "latent_update", "train_seed", "l2_learning_rate", "l2_epochs", "patch_size",
-    ) + _DEGRADATION_KEYS,
+    "train": (*TRAIN_FIELDS, "patch_size", *_DEGRADATION_KEYS),
     "cs-recon": (
         "ista_lambda", "ista_iters", "ista_tol", "transform", "wavelet_levels",
     ) + _DEGRADATION_KEYS,
@@ -150,12 +148,12 @@ def _cmd_phantom(args):
 
 
 def _cmd_degrade(args):
-    image = read_tensor(args.image)
     spec = degradation_spec(_run_config(args))
+    if args.save_mask and spec.modality != "mri":
+        raise ValueError("--save-mask only applies to the mri modality")
+    image = read_tensor(args.image)
     write_tensor(args.out, degrade(image, spec))
     if args.save_mask:
-        if spec.modality != "mri":
-            raise ValueError("--save-mask only applies to the mri modality")
         save_mask(args.save_mask, build_mask(spec, *image.shape))
     return 0
 

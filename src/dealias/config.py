@@ -54,7 +54,6 @@ DEFAULTS = {
     # patch pipeline
     "patch_size": 32,
     "overlap": False,
-    "train_overlap": False,
     # robust trainer and l2 baseline: the TrainConfig field defaults
     **{key: getattr(_TRAIN_DEFAULTS, field) for key, field in TRAIN_FIELDS.items()},
     # compressed-sensing solver

@@ -47,6 +47,19 @@ def fresh_state(model, tset, config):
     return state
 
 
+def record_gram_factors(monkeypatch):
+    """The matrices autoencoder._gram_factor is called on, in call order."""
+    factored = []
+    gram_factor = autoencoder._gram_factor
+
+    def recording(a, ridge_eps):
+        factored.append(a)
+        return gram_factor(a, ridge_eps)
+
+    monkeypatch.setattr(autoencoder, "_gram_factor", recording)
+    return factored
+
+
 class TestActivate:
     def test_forward_values(self):
         assert activate(0.0) == 0.0
@@ -211,7 +224,11 @@ class TestTrainConfig:
 
 class TestSplitBregmanStep:
     def _setup(self, **overrides):
-        settings = dict(hidden=8, lam=1.0, mu=1.0, max_iter=20, rel_tol=0.0, seed=0)
+        # every setting SPLIT_STEP_HISTORY_SEED0 depends on, none from the defaults
+        settings = dict(
+            hidden=8, lam=1.0, mu=1.0, max_iter=20, rel_tol=0.0, seed=0, ridge_eps=1e-6,
+            bregman_update="reflective", latent_update="coupled",
+        )
         settings.update(overrides)
         config = d.TrainConfig(**settings)
         tset = toy_training_set(dim=16, count=8, seed=1)
@@ -453,11 +470,10 @@ class TestCycleBuffers:
         tset = toy_training_set(dim=dim, count=count, seed=0)
         model = _initial_weights(dim, config)
         state = fresh_state(model, tset, config)
-        gram = _gram_factor(tset.x_in, config.ridge_eps)
-        split_bregman_step(model, tset, state, config, gram)  # warm-up
+        split_bregman_step(model, tset, state, config)  # warm-up
         tracemalloc.start()
         try:
-            split_bregman_step(model, tset, state, config, gram)
+            split_bregman_step(model, tset, state, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -553,6 +569,19 @@ class TestEncoderUpdate:
         update_encoder(model, tset, state, config)
         assert model.w_enc.tobytes() == expected.tobytes()
 
+    def test_state_factors_input_gram_once(self, monkeypatch):
+        # the state keeps the factor of X_in X_in^T + eps I for later P2 calls
+        config = d.TrainConfig(hidden=8, lam=20.0, ridge_eps=1e-2, latent_update="coupled")
+        tset = toy_training_set(dim=16, count=40, seed=5)
+        model = _initial_weights(16, config)
+        state = fresh_state(model, tset, config)
+        factored = record_gram_factors(monkeypatch)
+        update_encoder(model, tset, state, config)
+        first = model.w_enc
+        update_encoder(model, tset, state, config)
+        assert len(factored) == 1 and factored[0] is tset.x_in
+        assert model.w_enc.tobytes() == first.tobytes()
+
 
 class TestFrozenFeatures:
     """An anchored run fits the decoder on F = phi(W_0 X_in), which it
@@ -581,9 +610,9 @@ class TestFrozenFeatures:
         step = autoencoder.split_bregman_step
         checked = []
 
-        def checked_step(model, tset, state, config, input_gram=None):
+        def checked_step(model, tset, state, config):
             b1 = state.b1.copy()
-            step(model, tset, state, config, input_gram)
+            step(model, tset, state, config)
             expected = solve_ridge_least_squares(
                 state.z, tset.x_out - state.p + b1, config.ridge_eps
             )
@@ -601,14 +630,7 @@ class TestFrozenFeatures:
         # one F F^T per cycle since its Z changes
         config = self._config("additive", latent)
         tset = toy_training_set(dim=16, count=64, seed=2)
-        factored = []
-        gram_factor = autoencoder._gram_factor
-
-        def recording(a, ridge_eps):
-            factored.append(a)
-            return gram_factor(a, ridge_eps)
-
-        monkeypatch.setattr(autoencoder, "_gram_factor", recording)
+        factored = record_gram_factors(monkeypatch)
         _, state = d.train_robust(tset, config)
         on_input = [a is tset.x_in for a in factored]
         if latent == "anchored":

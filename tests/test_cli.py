@@ -84,6 +84,15 @@ class TestDispatch:
                    "--out", str(tmp_path / "d.pgm")) == 0
         assert (tmp_path / "d.pgm").exists()
 
+    def test_save_mask_off_mri_exits_2_before_writing(self, tmp_path, capsys):
+        img = tmp_path / "img.rdt"
+        out = tmp_path / "o.rdt"
+        run("phantom", "--size", "64", "--out", str(img))
+        assert run("degrade", "--image", str(img), "--out", str(out), "--modality", "ct",
+                   "--save-mask", str(tmp_path / "m.rdt")) == 2
+        assert "--save-mask" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cs_recon(self, tmp_path):
         img = tmp_path / "img.rdt"
         run("phantom", "--size", "64", "--out", str(img))
@@ -195,7 +204,7 @@ SUBCOMMANDS = {
         {
             "--hidden": "hidden", "--lambda": "lambda", "--mu": "mu",
             "--max-iter": "max_iter", "--rel-tol": "rel_tol",
-            "--bregman": "bregman_update",
+            "--ridge-eps": "ridge_eps", "--bregman": "bregman_update",
             "--latent": "latent_update", "--train-seed": "train_seed",
             "--learning-rate": "l2_learning_rate", "--epochs": "l2_epochs",
             "--patch-size": "patch_size", **DEGRADATION_FLAGS,
@@ -253,6 +262,19 @@ class TestSingleConfigSurface:
         assert seen["config"] == train_config(resolved)
         assert seen["spec"] == degradation_spec(resolved)
         assert seen["patch_size"] == DEFAULTS["patch_size"]
+
+    def test_train_ridge_eps_reaches_train_config(self, monkeypatch):
+        seen = {}
+
+        def fake_train(tset, config):
+            seen["config"] = config
+            raise NumericFailure("stop after capturing the config")
+
+        monkeypatch.setattr(cli, "build_training_set", lambda *args: "tset")
+        monkeypatch.setattr(cli, "train_robust", fake_train)
+        assert run("train", "--manifest", "m.txt", "--out", "model",
+                   "--ridge-eps", "1e-2") == 3
+        assert seen["config"].ridge_eps == 1e-2
 
     @pytest.mark.parametrize("overrides, expected", [
         ({"mask_kind": "random", "mask_fraction": 0.25, "degrade_seed": 4},
@@ -345,6 +367,7 @@ class TestBench:
         ["corpus_count=1"],
         ["corpus_size=32", "wavelet_levels=6"],
         ["corpus_size=48"],
+        ["train_overlap=true"],
     ], ids=" ".join)
     def test_bad_setting_fails_before_any_work(self, tmp_path, settings):
         out = tmp_path / "out"
@@ -382,6 +405,21 @@ class TestBench:
         assert command_dispatch(argv) == 3
         assert "l2 training diverged" in capsys.readouterr().err
         assert robust_calls == []
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_overlap_sets_training_grid(self, tmp_path, monkeypatch, overlap):
+        from dealias import bench
+
+        seen = []
+
+        def fake_build(entries, spec, patch_size, overlap):
+            seen.append(overlap)
+            raise NumericFailure("stop after capturing the grid")
+
+        monkeypatch.setattr(bench, "build_training_set", fake_build)
+        argv = bench_args(tmp_path, tmp_path / "out") + ["--set", f"overlap={overlap}"]
+        assert command_dispatch(argv) == 3
+        assert seen == [overlap]
 
     def test_methods_in_summary(self, tmp_path):
         out = tmp_path / "run"
