@@ -22,9 +22,13 @@ gradient-descent trainer with the same architecture is the non-robust baseline.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import operator
 import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +47,7 @@ from .core import (
 BREGMAN_UPDATES = ("reflective", "additive")
 LATENT_UPDATES = ("coupled", "anchored")
 CLAMP_EPS = 1e-6  # margin that keeps the inverse activation finite
+SLAB_ENTRIES = 1 << 16  # entries per row slab of the cycle's d x N passes
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +101,64 @@ def _gram_factor(a, ridge_eps):
     gram = a @ a.T
     gram[np.diag_indices_from(gram)] += ridge_eps
     return scipy.linalg.cho_factor(gram)
+
+
+def _row_slabs(shape):
+    """The fixed row slabs of a 2-d array: runs of whole rows of about
+    ``SLAB_ENTRIES`` entries (one row if a row is longer).  They depend on
+    the shape alone, never on the machine."""
+    rows, cols = shape
+    step = max(1, SLAB_ENTRIES // max(cols, 1))
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _over_slabs(kernel, shape):
+    """Run ``kernel(rows)`` on every row slab of a ``shape`` array and add
+    the floats it returns in slab order, so the total is the same on any
+    number of cores.
+
+    The slabs are shared out on demand among the calling thread and a
+    short-lived pool, one thread per further usable core; an array of one
+    slab runs inline.  ``kernel`` may call numpy ufuncs only (they release
+    the GIL): no BLAS, which threads itself, and no function that
+    perfbench traces, since its tracer keeps one span stack.
+    """
+    slabs = _row_slabs(shape)
+    partials = [0.0] * len(slabs)
+    pending = iter(range(len(slabs)))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                index = next(pending, None)
+            if index is None:
+                return
+            partials[index] = kernel(slabs[index])
+
+    helpers = min(_usable_cores(), len(slabs)) - 1
+    if helpers > 0:
+        with ThreadPoolExecutor(helpers) as pool:
+            # each helper runs in a copy of the caller's context, np.errstate included
+            futures = [pool.submit(contextvars.copy_context().run, drain) for _ in range(helpers)]
+            drain()
+        for future in futures:
+            future.result()
+    else:
+        drain()
+    return functools.reduce(operator.add, partials)
+
+
+def _slab_sum(arr):
+    """arr.sum() taken slab by slab, as the fused passes of the cycle take it."""
+    return _over_slabs(lambda rows: float(arr[rows].sum()), arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +274,24 @@ class SplitBregmanState:
     computed from, and a block reuses a product only while exactly those
     arrays (by identity) are current:
 
-    - ``gap`` = X_out - W_dec Z, computed by the residual pass and reused
-      by the next cycle's P1;
+    - ``gap`` = X_out - W_dec Z, formed by the relaxation update and
+      reused by the next cycle's P1;
     - ``encoded`` = phi(W_enc X_in), computed by P4 and reused by the
-      residual pass; an anchored Z is this array itself;
+      relaxation update; an anchored Z is this array itself;
     - ``grams``, the Cholesky factors of A A^T + eps I that the ridge
       blocks solve with: ``"input"`` (A = X_in) for P2, factored once per
       run, and ``"feature"`` (A = Z) for P3, factored once in an anchored
-      run; a coupled P4 drops the latter with the Z it came from.
+      run; a coupled P4 drops the latter with the Z it came from;
+    - ``work``, one d x N scratch array shared by the blocks, as the
+      decoder target X_out - P + B1 that P1 forms and P3 and a coupled P4
+      read through :meth:`decoder_target`;
+    - ``p_l1`` = ||P||_1, summed by P1;
+    - ``b1_sq`` = ||B1||_F^2, summed by the relaxation update for the
+      objective that follows it.
 
-    ``work`` is one d x N scratch array shared by the blocks.  From P3 to
-    a coupled P4 it holds the decoder target X_out - P + B1; a block that
-    writes the work array, P or B1 otherwise drops that entry of
-    ``sources``.  ``p_l1`` is ||P||_1, kept by P1.  ``gap`` and ``work``
+    A block that writes the work array, P or B1 drops the entries of
+    ``sources`` it invalidates.  The two sums are added slab by slab (see
+    :func:`_over_slabs`), wherever they are taken.  ``gap`` and ``work``
     are allocated on first use, and :func:`train_robust` lets them and
     ``grams`` go when it returns.
     """
@@ -239,6 +307,7 @@ class SplitBregmanState:
     grams: dict = field(default_factory=dict, repr=False)
     work: np.ndarray | None = field(default=None, repr=False)
     p_l1: float = field(default=0.0, repr=False)
+    b1_sq: float = field(default=0.0, repr=False)
     sources: dict = field(default_factory=dict, repr=False)
 
     def computed_from(self, name, *arrays) -> bool:
@@ -336,9 +405,10 @@ class TrainConfig:
 
 
 def constraint_residuals(model, tset, state):
-    """The residual pass, once per cycle: C1 = P - (X_out - W_dec Z) and
-    C2 = Z - phi(W_enc X_in), the residuals of the two coupling
-    constraints.  The penalties act on the relaxed residuals R = C - B.
+    """C1 = P - (X_out - W_dec Z) and C2 = Z - phi(W_enc X_in), the
+    residuals of the two coupling constraints, for an objective taken
+    between blocks (the relaxation update forms its own in its slab pass).
+    The penalties act on the relaxed residuals R = C - B.
 
     Both products come from the state and are recomputed only if stale.
     C1 is written into the work array, so it holds until the next block
@@ -364,9 +434,12 @@ def penalty_objective(model, tset, state, config, residuals=None) -> float:
         r2 = None if c2 is None else c2 - state.b2
         residuals = np.subtract(c1, state.b1, out=c1), r2
     r1, r2 = residuals
-    r1_squared = float(np.multiply(r1, r1, out=state.scratch()).sum())
+    if r1 is state.b1 and state.computed_from("b1_sq", r1):
+        r1_squared = state.b1_sq
+    else:
+        r1_squared = _slab_sum(np.multiply(r1, r1, out=state.scratch()))
     if not state.computed_from("p_l1", state.p):
-        state.p_l1 = float(np.abs(state.p, out=state.scratch()).sum())
+        state.p_l1 = _slab_sum(np.abs(state.p, out=state.scratch()))
         state.sources["p_l1"] = (state.p,)
     objective = state.p_l1 + config.lam * r1_squared
     if r2 is not None:
@@ -380,19 +453,34 @@ def objective_l1(model, tset) -> float:
 
 
 def update_sparse_residual(model, tset, state, config):
-    """P1: exact prox step, soft thresholding at tau = 1/(2 lam), into P.
+    """P1: exact prox step, soft thresholding at tau = 1/(2 lam), into P,
+    fused with the decoder target X_out - P + B1 of P3.
 
-    v = gap + B1 is formed in the work array and max(|v| - tau, 0) in P;
-    the sum of the latter is ||P||_1 exactly, so it is kept before the
-    sign of v is applied.
+    One pass over the row slabs: v = gap + B1 is formed in the work array
+    and max(|v| - tau, 0) in P, whose sum is the slab's share of ||P||_1
+    exactly, so it is taken before the sign of v is applied.  The target
+    then replaces v in the work array, and the state keeps it.
     """
-    v = np.add(state.gap_for(model, tset), state.b1, out=state.scratch())
-    shrunk = np.abs(v, out=state.p)
-    shrunk -= 1.0 / (2.0 * config.lam)
-    np.maximum(shrunk, 0.0, out=shrunk)
-    state.p_l1 = float(shrunk.sum())
-    state.sources["p_l1"] = (state.p,)
-    np.multiply(np.sign(v, out=v), shrunk, out=state.p)
+    gap = state.gap_for(model, tset)
+    work = state.scratch()
+    p, b1, x_out = state.p, state.b1, tset.x_out
+    tau = 1.0 / (2.0 * config.lam)
+    state.sources.pop("p_l1", None)
+
+    def slab(rows):
+        v = np.add(gap[rows], b1[rows], out=work[rows])
+        shrunk = np.abs(v, out=p[rows])
+        shrunk -= tau
+        np.maximum(shrunk, 0.0, out=shrunk)
+        l1 = float(shrunk.sum())
+        np.multiply(np.sign(v, out=v), shrunk, out=shrunk)
+        target = np.subtract(x_out[rows], shrunk, out=v)
+        target += b1[rows]
+        return l1
+
+    state.p_l1 = _over_slabs(slab, p.shape)
+    state.sources["p_l1"] = (p,)
+    state.sources["work"] = (x_out, p, b1)
 
 
 def update_encoder(model, tset, state, config):
@@ -441,15 +529,40 @@ def update_relaxation(model, tset, state, config):
     :func:`constraint_residuals` these are B <- C - B and the running sum
     B <- B - C, written into B in place; B - C (not -R) keeps exact zeros
     positive.  A state without B2 updates B1 only.
+
+    B1 is updated in one pass over the row slabs, after the whole-matrix
+    product W_dec Z: gap = X_out - W_dec Z (kept for the next P1), C1 =
+    P - gap in the work array, the update, and the slab's share of
+    ||B1||^2, which the state keeps for the objective.  C2 and B2 are
+    whole h x N arrays.
     """
-    c1, c2 = constraint_residuals(model, tset, state)
-    for c, b in ((c1, state.b1), (c2, state.b2)):
-        if b is None:
-            continue
-        if config.bregman_update == "reflective":
-            np.subtract(c, b, out=b)
-        else:
-            np.subtract(b, c, out=b)
+    sources = (tset.x_out, model.w_dec, state.z)
+    stale = not state.computed_from("gap", *sources)
+    work = state.scratch()
+    if stale:
+        state.sources.pop("gap", None)
+        np.matmul(model.w_dec, state.z, out=work)
+        if state.gap is None:
+            state.gap = np.empty_like(work)
+    gap, p, b1, x_out = state.gap, state.p, state.b1, tset.x_out
+    reflective = config.bregman_update == "reflective"
+    state.sources.pop("b1_sq", None)
+
+    def relax(c, b):
+        return np.subtract(c, b, out=b) if reflective else np.subtract(b, c, out=b)
+
+    def slab(rows):
+        if stale:
+            np.subtract(x_out[rows], work[rows], out=gap[rows])
+        c1 = np.subtract(p[rows], gap[rows], out=work[rows])
+        b = relax(c1, b1[rows])
+        return float(np.multiply(b, b, out=c1).sum())
+
+    state.b1_sq = _over_slabs(slab, b1.shape)
+    state.sources["gap"] = sources
+    state.sources["b1_sq"] = (b1,)
+    if state.b2 is not None:
+        relax(state.z - state.encoded_for(model, tset), state.b2)
 
 
 def split_bregman_step(model, tset, state, config):

@@ -51,7 +51,7 @@ _DEGRADATION_KEYS = (
 )
 _CONFIG_KEYS = {
     "degrade": _DEGRADATION_KEYS,
-    "train": (*TRAIN_FIELDS, "patch_size", *_DEGRADATION_KEYS),
+    "train": (*TRAIN_FIELDS, "patch_size", "overlap", *_DEGRADATION_KEYS),
     "cs-recon": (
         "ista_lambda", "ista_iters", "ista_tol", "transform", "wavelet_levels",
     ) + _DEGRADATION_KEYS,
@@ -68,9 +68,15 @@ _FLAG_NAMES = {
 def _add_config_flags(parser, command):
     for key in _CONFIG_KEYS[command]:
         default = DEFAULTS[key]
+        flag = _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
+        if isinstance(default, bool):
+            # --key / --no-key: a typed flag would read "--key false" as True
+            parser.add_argument(
+                flag, dest=key, action=argparse.BooleanOptionalAction, default=default
+            )
+            continue
         parser.add_argument(
-            _FLAG_NAMES.get(key, "--" + key.replace("_", "-")),
-            dest=key, type=type(default), default=default, choices=CHOICES.get(key),
+            flag, dest=key, type=type(default), default=default, choices=CHOICES.get(key),
         )
 
 
@@ -161,7 +167,9 @@ def _cmd_degrade(args):
 def _cmd_train(args):
     run = _run_config(args)
     config = train_config(run)
-    tset = build_training_set(args.manifest, degradation_spec(run), run["patch_size"])
+    tset = build_training_set(
+        args.manifest, degradation_spec(run), run["patch_size"], run["overlap"]
+    )
     if args.method == "robust":
         model, state = train_robust(tset, config)
         print(f"iterations={state.iteration}", file=sys.stderr)

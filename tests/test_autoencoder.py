@@ -1,6 +1,7 @@
 """Robust trainer internals: the activation, exact block solves, training loops."""
 
 import hashlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -638,6 +639,114 @@ class TestFrozenFeatures:
             assert factored[0] is state.z
         else:
             assert on_input == [True] + [False] * config.max_iter
+
+
+class TestSlabs:
+    """The cycle's d x N elementwise work runs over fixed row slabs, on
+    every usable core: the bytes of W_enc, W_dec, P, B1 and B2 do not
+    depend on the slabs or on the worker count, and the objective depends
+    on the worker count not at all."""
+
+    # d x N = 128 x 2048: four slabs of 32 rows at the shipped slab size
+    DIM, COUNT = 128, 2048
+
+    def _run(self, latent, bregman):
+        config = d.TrainConfig(
+            hidden=16, lam=20.0, ridge_eps=1e-2, max_iter=4, rel_tol=0.0,
+            bregman_update=bregman, latent_update=latent,
+        )
+        tset = toy_training_set(dim=self.DIM, count=self.COUNT, seed=7)
+        return d.train_robust(tset, config)
+
+    @VARIANTS
+    def test_slabbed_run_matches_one_slab_run(self, latent, bregman, monkeypatch):
+        assert len(autoencoder._row_slabs((self.DIM, self.COUNT))) == 4
+        model, state = self._run(latent, bregman)
+        monkeypatch.setattr(autoencoder, "SLAB_ENTRIES", self.DIM * self.COUNT)
+        one_model, one_state = self._run(latent, bregman)
+        assert state_bytes(model, state) == state_bytes(one_model, one_state)
+        assert state.objective_history == pytest.approx(
+            one_state.objective_history, rel=1e-14, abs=0.0
+        )
+
+    @VARIANTS
+    def test_slab_results_do_not_depend_on_worker_count(self, latent, bregman, monkeypatch):
+        pools = []
+
+        class CountingPool(autoencoder.ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(autoencoder, "ThreadPoolExecutor", CountingPool)
+        runs = []
+        for cores in (1, 2, 6):
+            monkeypatch.setattr(autoencoder, "_usable_cores", lambda: cores)
+            runs.append(self._run(latent, bregman))
+        # one pool per pass and per objective sum that is not kept: none on
+        # one core, and never more helpers than slabs after the caller
+        assert pools and set(pools) == {1, 3}
+        (model, state), *others = runs
+        for other_model, other_state in others:
+            assert other_state.objective_history == state.objective_history
+            assert state_bytes(other_model, other_state) == state_bytes(model, state)
+
+    @VARIANTS
+    def test_slab_sums_kept_by_the_cycle_match_the_objective(self, latent, bregman):
+        # the objective recomputed from P and B1 adds the same slab partials
+        # as the passes that kept ||P||_1 and ||B1||^2
+        config = d.TrainConfig(
+            hidden=16, lam=20.0, ridge_eps=1e-2, bregman_update=bregman, latent_update=latent
+        )
+        tset = toy_training_set(dim=self.DIM, count=self.COUNT, seed=8)
+        model = _initial_weights(self.DIM, config)
+        state = fresh_state(model, tset, config)
+        for _ in range(2):
+            split_bregman_step(model, tset, state, config)
+            state.sources.pop("p_l1")
+            state.sources.pop("b1_sq")
+            recomputed = penalty_objective(model, tset, state, config, (state.b1, state.b2))
+            assert recomputed == state.objective_history[-1]
+
+    def test_slabs_cover_rows_once_by_shape_alone(self, monkeypatch):
+        shapes = [(1, 1), (7, 3), (1024, 9310), (300, 70000), (5, 1 << 16)]
+        partitions = [autoencoder._row_slabs(shape) for shape in shapes]
+        for (rows, cols), slabs in zip(shapes, partitions):
+            covered = np.concatenate([np.arange(rows)[s] for s in slabs])
+            assert covered.tolist() == list(range(rows))
+            sizes = [s.stop - s.start for s in slabs]
+            assert all(n == 1 or n * cols <= autoencoder.SLAB_ENTRIES for n in sizes)
+        monkeypatch.setattr(autoencoder, "_usable_cores", lambda: 5)
+        assert [autoencoder._row_slabs(shape) for shape in shapes] == partitions
+
+    def test_slab_stress_more_workers_than_cores(self, monkeypatch):
+        # every slab runs exactly once and lands in its own partial, with
+        # thread switches forced as often as the interpreter allows
+        monkeypatch.setattr(autoencoder, "_usable_cores", lambda: 8)
+        shape = (4096, 64)  # 1024 rows per slab, so 4 slabs
+        starts = []
+
+        def kernel(rows):
+            starts.append(rows.start)
+            return float(sum(range(rows.start, rows.stop)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                assert autoencoder._over_slabs(kernel, shape) == float(sum(range(4096)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(starts) == sorted(list(range(0, 4096, 1024)) * 50)
+
+    def test_one_slab_or_one_core_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(autoencoder, "ThreadPoolExecutor", pytest.fail)
+        arr = np.arange(4.0 * self.COUNT).reshape(4, self.COUNT)
+        assert autoencoder._slab_sum(arr) == arr.sum()
+        monkeypatch.setattr(autoencoder, "_usable_cores", lambda: 1)
+        big = toy_training_set(dim=self.DIM, count=self.COUNT, seed=9).x_out
+        parts = [big[s].sum() for s in autoencoder._row_slabs(big.shape)]
+        assert autoencoder._slab_sum(big) == ((parts[0] + parts[1]) + parts[2]) + parts[3]
 
 
 class TestTrainRobust:

@@ -207,7 +207,8 @@ SUBCOMMANDS = {
             "--ridge-eps": "ridge_eps", "--bregman": "bregman_update",
             "--latent": "latent_update", "--train-seed": "train_seed",
             "--learning-rate": "l2_learning_rate", "--epochs": "l2_epochs",
-            "--patch-size": "patch_size", **DEGRADATION_FLAGS,
+            "--patch-size": "patch_size", "--overlap": "overlap",
+            "--no-overlap": "overlap", **DEGRADATION_FLAGS,
         },
     ),
     "cs-recon": (
@@ -245,8 +246,8 @@ class TestSingleConfigSurface:
     def test_train_defaults_build_config_objects(self, method, monkeypatch):
         seen = {}
 
-        def fake_build(manifest, spec, patch_size):
-            seen.update(spec=spec, patch_size=patch_size)
+        def fake_build(manifest, spec, patch_size, overlap):
+            seen.update(spec=spec, patch_size=patch_size, overlap=overlap)
             return "tset"
 
         def fake_train(tset, config):
@@ -262,6 +263,7 @@ class TestSingleConfigSurface:
         assert seen["config"] == train_config(resolved)
         assert seen["spec"] == degradation_spec(resolved)
         assert seen["patch_size"] == DEFAULTS["patch_size"]
+        assert seen["overlap"] is DEFAULTS["overlap"]
 
     def test_train_ridge_eps_reaches_train_config(self, monkeypatch):
         seen = {}
@@ -275,6 +277,29 @@ class TestSingleConfigSurface:
         assert run("train", "--manifest", "m.txt", "--out", "model",
                    "--ridge-eps", "1e-2") == 3
         assert seen["config"].ridge_eps == 1e-2
+
+    @pytest.mark.parametrize("flags, overlap", [
+        ([], False), (["--overlap"], True), (["--no-overlap"], False),
+        (["--overlap", "--no-overlap"], False),
+    ])
+    def test_train_overlap_reaches_training_grid(self, flags, overlap, monkeypatch):
+        seen = []
+
+        def fake_build(manifest, spec, patch_size, half_stride):
+            seen.append(half_stride)
+            raise NumericFailure("stop after capturing the grid")
+
+        monkeypatch.setattr(cli, "build_training_set", fake_build)
+        assert run("train", "--manifest", "m.txt", "--out", "model", *flags) == 3
+        assert seen == [overlap]
+
+    def test_train_overlap_takes_no_value(self, monkeypatch, capsys):
+        # a boolean flag is --overlap / --no-overlap; "--overlap false" is a
+        # usage error, not a truthy string
+        monkeypatch.setattr(cli, "build_training_set", pytest.fail)
+        assert run("train", "--manifest", "m.txt", "--out", "model",
+                   "--overlap", "false") == 1
+        assert "unrecognized arguments: false" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides, expected", [
         ({"mask_kind": "random", "mask_fraction": 0.25, "degrade_seed": 4},
