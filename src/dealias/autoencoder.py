@@ -274,26 +274,26 @@ class SplitBregmanState:
     computed from, and a block reuses a product only while exactly those
     arrays (by identity) are current:
 
-    - ``gap`` = X_out - W_dec Z, formed by the relaxation update and
-      reused by the next cycle's P1;
+    - ``work``, the one d x N scratch array of the cycle, holds one of two
+      kept products at a time: ``"gap"`` = X_out - W_dec Z, which the
+      relaxation update forms and the next cycle's P1 reads, or ``"work"``,
+      the decoder target X_out - P + B1 that P1 writes over the gap and P3
+      and a coupled P4 read through :meth:`decoder_target`;
     - ``encoded`` = phi(W_enc X_in), computed by P4 and reused by the
       relaxation update; an anchored Z is this array itself;
     - ``grams``, the Cholesky factors of A A^T + eps I that the ridge
       blocks solve with: ``"input"`` (A = X_in) for P2, factored once per
       run, and ``"feature"`` (A = Z) for P3, factored once in an anchored
       run; a coupled P4 drops the latter with the Z it came from;
-    - ``work``, one d x N scratch array shared by the blocks, as the
-      decoder target X_out - P + B1 that P1 forms and P3 and a coupled P4
-      read through :meth:`decoder_target`;
     - ``p_l1`` = ||P||_1, summed by P1;
     - ``b1_sq`` = ||B1||_F^2, summed by the relaxation update for the
       objective that follows it.
 
     A block that writes the work array, P or B1 drops the entries of
     ``sources`` it invalidates.  The two sums are added slab by slab (see
-    :func:`_over_slabs`), wherever they are taken.  ``gap`` and ``work``
-    are allocated on first use, and :func:`train_robust` lets them and
-    ``grams`` go when it returns.
+    :func:`_over_slabs`), wherever they are taken.  ``work`` is allocated
+    on first use, and :func:`train_robust` lets it and ``grams`` go when it
+    returns.
     """
 
     p: np.ndarray
@@ -302,7 +302,6 @@ class SplitBregmanState:
     b2: np.ndarray | None
     iteration: int = 0
     objective_history: list = field(default_factory=list)
-    gap: np.ndarray | None = field(default=None, repr=False)
     encoded: np.ndarray | None = field(default=None, repr=False)
     grams: dict = field(default_factory=dict, repr=False)
     work: np.ndarray | None = field(default=None, repr=False)
@@ -319,17 +318,19 @@ class SplitBregmanState:
         """The work array, for a block about to overwrite it."""
         if self.work is None:
             self.work = np.empty_like(self.p)
+        self.sources.pop("gap", None)
         self.sources.pop("work", None)
         return self.work
 
     def gap_for(self, model, tset):
-        """X_out - W_dec Z; W_dec Z is formed in the work array."""
+        """X_out - W_dec Z, formed in the work array: W_dec Z first, then
+        subtracted from X_out in place."""
         sources = (tset.x_out, model.w_dec, self.z)
         if not self.computed_from("gap", *sources):
             product = np.matmul(model.w_dec, self.z, out=self.scratch())
-            self.gap = np.subtract(tset.x_out, product, out=self.gap)
+            np.subtract(tset.x_out, product, out=product)
             self.sources["gap"] = sources
-        return self.gap
+        return self.work
 
     def encoded_for(self, model, tset):
         """phi(W_enc X_in)."""
@@ -411,8 +412,9 @@ def constraint_residuals(model, tset, state):
     The penalties act on the relaxed residuals R = C - B.
 
     Both products come from the state and are recomputed only if stale.
-    C1 is written into the work array, so it holds until the next block
-    writes there.  C2 is None when the state has no B2 (anchored runs).
+    C1 is written over the gap in the work array, so it holds until the
+    next block writes there.  C2 is None when the state has no B2
+    (anchored runs).
     """
     gap = state.gap_for(model, tset)
     c1 = np.subtract(state.p, gap, out=state.scratch())
@@ -456,19 +458,19 @@ def update_sparse_residual(model, tset, state, config):
     """P1: exact prox step, soft thresholding at tau = 1/(2 lam), into P,
     fused with the decoder target X_out - P + B1 of P3.
 
-    One pass over the row slabs: v = gap + B1 is formed in the work array
-    and max(|v| - tau, 0) in P, whose sum is the slab's share of ||P||_1
-    exactly, so it is taken before the sign of v is applied.  The target
-    then replaces v in the work array, and the state keeps it.
+    One pass over the row slabs: v = gap + B1 replaces the gap in the
+    work array and max(|v| - tau, 0) is formed in P, whose sum is the
+    slab's share of ||P||_1 exactly, so it is taken before the sign of v
+    is applied.  The target then replaces v, and the state keeps it.
     """
-    gap = state.gap_for(model, tset)
-    work = state.scratch()
+    work = state.gap_for(model, tset)
+    state.sources.pop("gap")
     p, b1, x_out = state.p, state.b1, tset.x_out
     tau = 1.0 / (2.0 * config.lam)
     state.sources.pop("p_l1", None)
 
     def slab(rows):
-        v = np.add(gap[rows], b1[rows], out=work[rows])
+        v = np.add(work[rows], b1[rows], out=work[rows])
         shrunk = np.abs(v, out=p[rows])
         shrunk -= tau
         np.maximum(shrunk, 0.0, out=shrunk)
@@ -531,20 +533,16 @@ def update_relaxation(model, tset, state, config):
     positive.  A state without B2 updates B1 only.
 
     B1 is updated in one pass over the row slabs, after the whole-matrix
-    product W_dec Z: gap = X_out - W_dec Z (kept for the next P1), C1 =
-    P - gap in the work array, the update, and the slab's share of
-    ||B1||^2, which the state keeps for the objective.  C2 and B2 are
-    whole h x N arrays.
+    product W_dec Z in the work array: gap = X_out - W_dec Z in place
+    (kept for the next P1), then C1 = P - gap, the update, and the slab's
+    share of ||B1||^2, which the state keeps for the objective; C1 and
+    B1^2 are slab-sized temporaries.  C2 and B2 are whole h x N arrays.
     """
     sources = (tset.x_out, model.w_dec, state.z)
     stale = not state.computed_from("gap", *sources)
-    work = state.scratch()
     if stale:
-        state.sources.pop("gap", None)
-        np.matmul(model.w_dec, state.z, out=work)
-        if state.gap is None:
-            state.gap = np.empty_like(work)
-    gap, p, b1, x_out = state.gap, state.p, state.b1, tset.x_out
+        np.matmul(model.w_dec, state.z, out=state.scratch())
+    gap, p, b1, x_out = state.work, state.p, state.b1, tset.x_out
     reflective = config.bregman_update == "reflective"
     state.sources.pop("b1_sq", None)
 
@@ -553,8 +551,8 @@ def update_relaxation(model, tset, state, config):
 
     def slab(rows):
         if stale:
-            np.subtract(x_out[rows], work[rows], out=gap[rows])
-        c1 = np.subtract(p[rows], gap[rows], out=work[rows])
+            np.subtract(x_out[rows], gap[rows], out=gap[rows])
+        c1 = np.subtract(p[rows], gap[rows])
         b = relax(c1, b1[rows])
         return float(np.multiply(b, b, out=c1).sum())
 
@@ -648,7 +646,7 @@ def train_robust(tset: TrainingSet, config: TrainConfig):
         if _window_converged(state.objective_history, config.rel_tol):
             break
     # the d x N scratch and the (d+1)^2 factor stay with the trainer
-    state.gap = state.work = None
+    state.work = None
     state.grams.clear()
     state.sources.clear()
     return model, state
@@ -659,17 +657,47 @@ def train_robust(tset: TrainingSet, config: TrainConfig):
 # ---------------------------------------------------------------------------
 
 
-def l2_loss_and_grads(model, tset):
-    """Squared-error loss and its exact weight gradients, through one d x N
-    residual W_dec Z - X_out, formed and doubled (exactly) in place."""
-    z = activate(model.w_enc @ tset.x_in)
-    residual = model.w_dec @ z
-    residual -= tset.x_out
-    loss = float(np.vdot(residual, residual))
-    residual *= 2.0
+def l2_workspace(model, tset):
+    """The arrays :func:`l2_loss_and_grads` fills: the d x N residual and
+    two h x N arrays, the codes Z and the back-propagated hidden error."""
+    hidden_shape = (model.hidden, tset.count)
+    return np.empty_like(tset.x_out), np.empty(hidden_shape), np.empty(hidden_shape)
+
+
+def l2_loss_and_grads(model, tset, buffers=None):
+    """Squared-error loss and its exact weight gradients.
+
+    The products are written into ``buffers`` (see :func:`l2_workspace`;
+    fresh ones if None): Z = tanh(W_enc X_in) in place, then the residual
+    R = W_dec Z - X_out, whose sum of squares (the loss) is taken in the
+    same pass over its row slabs, and (W_dec^T R) * (1 - Z^2) in a second
+    pass, which overwrites Z once W_dec's gradient is formed.  Doubling the
+    two gradients rather than R is exact, so they have the bits of the
+    plain expression with 2R.
+    """
+    residual, z, hidden = l2_workspace(model, tset) if buffers is None else buffers
+    np.tanh(np.matmul(model.w_enc, tset.x_in, out=z), out=z)
+    np.matmul(model.w_dec, z, out=residual)
+    x_out = tset.x_out
+
+    def residual_slab(rows):
+        r = np.subtract(residual[rows], x_out[rows], out=residual[rows])
+        return float(np.square(r).sum())
+
+    loss = _over_slabs(residual_slab, residual.shape)
     g_dec = residual @ z.T
-    g_hidden = (model.w_dec.T @ residual) * (1.0 - z * z)
-    g_enc = g_hidden @ tset.x_in.T
+    g_dec *= 2.0
+    np.matmul(model.w_dec.T, residual, out=hidden)
+
+    def hidden_slab(rows):
+        slope = np.multiply(z[rows], z[rows], out=z[rows])
+        np.subtract(1.0, slope, out=slope)
+        np.multiply(hidden[rows], slope, out=hidden[rows])
+        return 0.0
+
+    _over_slabs(hidden_slab, hidden.shape)
+    g_enc = hidden @ tset.x_in.T
+    g_enc *= 2.0
     return loss, g_enc, g_dec
 
 
@@ -696,11 +724,12 @@ def train_l2_timed(tset: TrainingSet, config: TrainConfig, budget_seconds: float
 def _l2_descent(tset, config, stop):
     """The l2 trainers' loop; runs until ``stop(epochs, seconds)`` is true."""
     model = _initial_weights(tset.x_out.shape[0], config)
+    buffers = l2_workspace(model, tset)
     initial = None
     epoch = 0
     start = time.perf_counter()
     while not stop(epoch, time.perf_counter() - start):
-        loss, g_enc, g_dec = l2_loss_and_grads(model, tset)
+        loss, g_enc, g_dec = l2_loss_and_grads(model, tset, buffers)
         if initial is None:
             initial = loss
         if not np.isfinite(loss) or loss > 1e6 * max(initial, 1e-300):

@@ -443,26 +443,34 @@ class SparsifyingTransform:
             )
 
 
-def _haar_split(block):
-    rows = (block[0::2, :] + block[1::2, :]) / math.sqrt(2.0)
-    diff = (block[0::2, :] - block[1::2, :]) / math.sqrt(2.0)
-    stacked = np.vstack([rows, diff])
-    cols = (stacked[:, 0::2] + stacked[:, 1::2]) / math.sqrt(2.0)
-    diff = (stacked[:, 0::2] - stacked[:, 1::2]) / math.sqrt(2.0)
-    return np.hstack([cols, diff])
+_SQRT2 = math.sqrt(2.0)
 
 
-def _haar_merge(block):
+def _butterfly(a, b, total, difference, staging):
+    """total = (a + b) / sqrt 2 and difference = (a - b) / sqrt 2.  Each
+    sum or difference is formed in the contiguous ``staging`` buffer and
+    divided from there into its output, which may be strided."""
+    stage = staging[: a.size].reshape(a.shape)
+    np.divide(np.add(a, b, out=stage), _SQRT2, out=total)
+    np.divide(np.subtract(a, b, out=stage), _SQRT2, out=difference)
+
+
+def _haar_split(block, out, scratch, staging):
+    """One analysis level of ``block`` into ``out`` (the same view or a
+    fresh one): the butterflies of even and odd rows into ``scratch``
+    (sums on top), then those of its even and odd columns into ``out``
+    (sums on the left)."""
     h, w = block.shape
-    left, right = block[:, : w // 2], block[:, w // 2 :]
-    cols = np.empty_like(block)
-    cols[:, 0::2] = (left + right) / math.sqrt(2.0)
-    cols[:, 1::2] = (left - right) / math.sqrt(2.0)
-    top, bottom = cols[: h // 2, :], cols[h // 2 :, :]
-    out = np.empty_like(block)
-    out[0::2, :] = (top + bottom) / math.sqrt(2.0)
-    out[1::2, :] = (top - bottom) / math.sqrt(2.0)
-    return out
+    _butterfly(block[0::2], block[1::2], scratch[: h // 2], scratch[h // 2 :], staging)
+    _butterfly(scratch[:, 0::2], scratch[:, 1::2], out[:, : w // 2], out[:, w // 2 :], staging)
+
+
+def _haar_merge(block, scratch, staging):
+    """One synthesis level of ``block`` in place, undoing :func:`_haar_split`
+    through ``scratch``."""
+    h, w = block.shape
+    _butterfly(block[:, : w // 2], block[:, w // 2 :], scratch[:, 0::2], scratch[:, 1::2], staging)
+    _butterfly(scratch[: h // 2], scratch[h // 2 :], block[0::2], block[1::2], staging)
 
 
 def sparsify(values, transform: SparsifyingTransform, direction: str = "forward"):
@@ -477,13 +485,16 @@ def sparsify(values, transform: SparsifyingTransform, direction: str = "forward"
 
     transform.check_shape(arr.shape)
     h, w = arr.shape
-    out = arr.copy()
+    scratch, staging = np.empty(h * w), np.empty(h * w // 2)
     if direction == "forward":
+        out = np.empty(arr.shape)
         for level in range(transform.levels):
             hh, ww = h >> level, w >> level
-            out[:hh, :ww] = _haar_split(out[:hh, :ww])
+            block = (arr if level == 0 else out)[:hh, :ww]
+            _haar_split(block, out[:hh, :ww], scratch[: hh * ww].reshape(hh, ww), staging)
     else:
+        out = arr.copy()
         for level in reversed(range(transform.levels)):
             hh, ww = h >> level, w >> level
-            out[:hh, :ww] = _haar_merge(out[:hh, :ww])
+            _haar_merge(out[:hh, :ww], scratch[: hh * ww].reshape(hh, ww), staging)
     return out

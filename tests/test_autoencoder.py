@@ -509,6 +509,60 @@ class TestCycleBuffers:
         assert state.objective_history == objectives
         assert state_bytes(model, state) == state_bytes(ref_model, ref_state)
 
+    @pytest.mark.parametrize(
+        "shape", [(16, 64, 8), (128, 2048, 16)], ids=["d16", "four-slabs"]
+    )
+    @VARIANTS
+    def test_objective_after_every_block_leaves_run_unchanged(
+        self, latent, bregman, shape, monkeypatch
+    ):
+        # the objective taken between blocks writes C1 over the gap in the
+        # one d x N scratch; the blocks after it rebuild what they read, and
+        # it equals the objective of a state that keeps no products
+        dim, count, hidden = shape
+        config = d.TrainConfig(
+            hidden=hidden, lam=20.0, ridge_eps=1e-2, max_iter=3, rel_tol=0.0,
+            bregman_update=bregman, latent_update=latent,
+        )
+        tset = toy_training_set(dim=dim, count=count, seed=13)
+        plain_model, plain_state = d.train_robust(tset, config)
+        objectives = []
+        blocks = COUPLED_BLOCKS if latent == "coupled" else ANCHORED_BLOCKS
+        for block in blocks + (update_relaxation,):
+
+            def followed(model, tset, state, config, block=block):
+                block(model, tset, state, config)
+                objectives.append(penalty_objective(model, tset, state, config))
+                fresh = SplitBregmanState(
+                    p=state.p.copy(), z=state.z.copy(), b1=state.b1.copy(),
+                    b2=None if state.b2 is None else state.b2.copy(),
+                )
+                assert penalty_objective(model, tset, fresh, config) == objectives[-1]
+
+            monkeypatch.setattr(autoencoder, block.__name__, followed)
+        model, state = d.train_robust(tset, config)
+        assert len(objectives) == config.max_iter * (len(blocks) + 1)
+        assert np.all(np.isfinite(objectives))
+        assert state.objective_history == plain_state.objective_history
+        assert state_bytes(model, state) == state_bytes(plain_model, plain_state)
+
+    @pytest.mark.parametrize("latent, bound", [("anchored", 3.5), ("coupled", 4.1)])
+    def test_run_peak_holds_one_dxn_scratch(self, latent, bound):
+        # P, B1 and the one work array are the run's d x N arrays; the rest
+        # is h x N or slab-sized
+        dim, count = 256, 4000
+        config = d.TrainConfig(
+            hidden=32, lam=20.0, ridge_eps=1e-2, max_iter=3, rel_tol=0.0, latent_update=latent
+        )
+        tset = toy_training_set(dim=dim, count=count, seed=0)
+        tracemalloc.start()
+        try:
+            d.train_robust(tset, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * dim * count * 8
+
     @pytest.mark.parametrize("replaced", ["w_dec", "w_enc", "z"])
     @VARIANTS
     def test_replaced_array_matches_fresh_state(self, latent, bregman, replaced):
@@ -866,6 +920,44 @@ class TestL2Baseline:
         finally:
             tracemalloc.stop()
         assert peak < 1.75 * dim * count * 8
+
+    def test_run_reuses_one_workspace(self):
+        # one d x N residual and two h x N arrays serve every epoch
+        dim, count, hidden = 256, 4000, 32
+        tset = toy_training_set(dim=dim, count=count, seed=12)
+        config = d.TrainConfig(hidden=hidden, seed=0, learning_rate=1e-7, epochs=3)
+        tracemalloc.start()
+        try:
+            d.train_l2_baseline(tset, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * dim * count * 8
+
+    def test_workspace_gives_the_bits_of_fresh_buffers(self):
+        tset = toy_training_set(dim=16, count=40, seed=11)
+        model = _initial_weights(16, d.TrainConfig(hidden=6, seed=4))
+        buffers = autoencoder.l2_workspace(model, tset)
+        for buffer in buffers:
+            buffer.fill(np.nan)  # nothing may be read before it is written
+        fresh = l2_loss_and_grads(model, tset)
+        for _ in range(2):
+            loss, g_enc, g_dec = l2_loss_and_grads(model, tset, buffers)
+            assert loss == fresh[0]
+            assert g_enc.tobytes() == fresh[1].tobytes()
+            assert g_dec.tobytes() == fresh[2].tobytes()
+
+    def test_slab_passes_do_not_depend_on_worker_count(self, monkeypatch):
+        # 128 x 2048: the residual pass walks four slabs; the loss adds
+        # their partial sums in slab order
+        tset = toy_training_set(dim=128, count=2048, seed=13)
+        model = _initial_weights(128, d.TrainConfig(hidden=16, seed=5))
+        results = []
+        for cores in (1, 2, 6):
+            monkeypatch.setattr(autoencoder, "_usable_cores", lambda: cores)
+            loss, g_enc, g_dec = l2_loss_and_grads(model, tset)
+            results.append((loss, g_enc.tobytes(), g_dec.tobytes()))
+        assert results[0] == results[1] == results[2]
 
     def test_zero_learning_rate_keeps_initialization(self):
         tset = toy_training_set(dim=6, count=8, seed=8)

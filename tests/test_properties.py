@@ -2,6 +2,7 @@
 RNG stream, and the tensor, model bundle and config file formats over
 randomized shapes and values."""
 
+import math
 import os
 import tempfile
 from unittest import mock
@@ -197,6 +198,54 @@ def test_sparsifying_transform_is_orthonormal(levels, rows, cols, dct, seed):
     fx = sparsify(x, transform, "forward")
     assert abs(np.linalg.norm(fx) - np.linalg.norm(x)) <= 1e-12 * np.linalg.norm(x)
     assert np.abs(sparsify(fx, transform, "inverse") - x).max() <= 1e-12
+
+
+def stacked_haar_split(block):
+    """Reference analysis level: each butterfly as a fresh array, stacked."""
+    rows = (block[0::2, :] + block[1::2, :]) / math.sqrt(2.0)
+    diff = (block[0::2, :] - block[1::2, :]) / math.sqrt(2.0)
+    stacked = np.vstack([rows, diff])
+    cols = (stacked[:, 0::2] + stacked[:, 1::2]) / math.sqrt(2.0)
+    diff = (stacked[:, 0::2] - stacked[:, 1::2]) / math.sqrt(2.0)
+    return np.hstack([cols, diff])
+
+
+def stacked_haar_merge(block):
+    """Reference synthesis level, the inverse of ``stacked_haar_split``."""
+    h, w = block.shape
+    left, right = block[:, : w // 2], block[:, w // 2 :]
+    cols = np.empty_like(block)
+    cols[:, 0::2] = (left + right) / math.sqrt(2.0)
+    cols[:, 1::2] = (left - right) / math.sqrt(2.0)
+    top, bottom = cols[: h // 2, :], cols[h // 2 :, :]
+    out = np.empty_like(block)
+    out[0::2, :] = (top + bottom) / math.sqrt(2.0)
+    out[1::2, :] = (top - bottom) / math.sqrt(2.0)
+    return out
+
+
+@given(
+    levels=st.integers(1, 4),
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_haar_levels_in_place_match_stacked_levels_bytewise(levels, rows, cols, seed):
+    # the in-place butterflies add (or subtract), then divide, as the
+    # stacking form does, so both directions give the same bytes
+    shape = (rows << levels, cols << levels)
+    transform = SparsifyingTransform("haar-wavelet", levels)
+    x = SeededRng(seed).normal(shape)
+    for direction, level_order, reference in (
+        ("forward", range(levels), stacked_haar_split),
+        ("inverse", reversed(range(levels)), stacked_haar_merge),
+    ):
+        expected = x.copy()
+        for level in level_order:
+            hh, ww = shape[0] >> level, shape[1] >> level
+            expected[:hh, :ww] = reference(expected[:hh, :ww])
+        got = sparsify(x, transform, direction)
+        assert got.tobytes() == expected.tobytes()
 
 
 @given(
