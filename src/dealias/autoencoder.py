@@ -284,16 +284,15 @@ class SplitBregmanState:
     - ``grams``, the Cholesky factors of A A^T + eps I that the ridge
       blocks solve with: ``"input"`` (A = X_in) for P2, factored once per
       run, and ``"feature"`` (A = Z) for P3, factored once in an anchored
-      run; a coupled P4 drops the latter with the Z it came from;
-    - ``p_l1`` = ||P||_1, summed by P1;
-    - ``b1_sq`` = ||B1||_F^2, summed by the relaxation update for the
-      objective that follows it.
+      run; a coupled P4 drops the latter with the Z it came from.
 
     A block that writes the work array, P or B1 drops the entries of
-    ``sources`` it invalidates.  The two sums are added slab by slab (see
-    :func:`_over_slabs`), wherever they are taken.  ``work`` is allocated
-    on first use, and :func:`train_robust` lets it and ``grams`` go when it
-    returns.
+    ``sources`` it invalidates.  The cycle keeps no sums: P1 and the
+    relaxation update return ||P||_1 and ||B1||^2, added slab by slab (see
+    :func:`_over_slabs`), and :func:`split_bregman_step` forms the
+    objective from them.  :func:`penalty_objective` only reads the state.
+    ``work`` is allocated on first use, and :func:`train_robust` lets it
+    and ``grams`` go when it returns.
     """
 
     p: np.ndarray
@@ -305,8 +304,6 @@ class SplitBregmanState:
     encoded: np.ndarray | None = field(default=None, repr=False)
     grams: dict = field(default_factory=dict, repr=False)
     work: np.ndarray | None = field(default=None, repr=False)
-    p_l1: float = field(default=0.0, repr=False)
-    b1_sq: float = field(default=0.0, repr=False)
     sources: dict = field(default_factory=dict, repr=False)
 
     def computed_from(self, name, *arrays) -> bool:
@@ -405,46 +402,22 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-def constraint_residuals(model, tset, state):
-    """C1 = P - (X_out - W_dec Z) and C2 = Z - phi(W_enc X_in), the
-    residuals of the two coupling constraints, for an objective taken
-    between blocks (the relaxation update forms its own in its slab pass).
-    The penalties act on the relaxed residuals R = C - B.
-
-    Both products come from the state and are recomputed only if stale.
-    C1 is written over the gap in the work array, so it holds until the
-    next block writes there.  C2 is None when the state has no B2
-    (anchored runs).
-    """
-    gap = state.gap_for(model, tset)
-    c1 = np.subtract(state.p, gap, out=state.scratch())
-    if state.b2 is None:
-        return c1, None
-    return c1, state.z - state.encoded_for(model, tset)
-
-
-def penalty_objective(model, tset, state, config, residuals=None) -> float:
+def penalty_objective(model, tset, state, config) -> float:
     """Relaxed training objective ||P||_1 + lam ||R1||_F^2 + mu ||R2||_F^2,
-    without the mu term when the state has no B2 (anchored runs).
+    without the mu term when the state has no B2 (anchored runs), where
+    R1 = P - (X_out - W_dec Z) - B1 and R2 = Z - phi(W_enc X_in) - B2 are
+    the relaxed residuals of the two coupling constraints.
 
-    ``residuals`` may carry (R1, R2) already evaluated at the current
-    state, or their negatives: right after the relaxation update B is one
-    or the other.  R2 is None without B2.
+    A reference formula for an objective taken between blocks: it reads
+    the state, writes nothing to it and works in temporaries of its own.
+    The two d x N sums are added slab by slab, as the cycle adds them.
     """
-    if residuals is None:
-        c1, c2 = constraint_residuals(model, tset, state)
-        r2 = None if c2 is None else c2 - state.b2
-        residuals = np.subtract(c1, state.b1, out=c1), r2
-    r1, r2 = residuals
-    if r1 is state.b1 and state.computed_from("b1_sq", r1):
-        r1_squared = state.b1_sq
-    else:
-        r1_squared = _slab_sum(np.multiply(r1, r1, out=state.scratch()))
-    if not state.computed_from("p_l1", state.p):
-        state.p_l1 = _slab_sum(np.abs(state.p, out=state.scratch()))
-        state.sources["p_l1"] = (state.p,)
-    objective = state.p_l1 + config.lam * r1_squared
-    if r2 is not None:
+    r1 = state.p - (tset.x_out - model.w_dec @ state.z)
+    r1 -= state.b1
+    objective = _slab_sum(np.abs(state.p)) + config.lam * _slab_sum(np.square(r1, out=r1))
+    if state.b2 is not None:
+        r2 = state.z - activate(model.w_enc @ tset.x_in)
+        r2 -= state.b2
         objective += config.mu * float((r2 * r2).sum())
     return objective
 
@@ -462,12 +435,12 @@ def update_sparse_residual(model, tset, state, config):
     work array and max(|v| - tau, 0) is formed in P, whose sum is the
     slab's share of ||P||_1 exactly, so it is taken before the sign of v
     is applied.  The target then replaces v, and the state keeps it.
+    Returns ||P||_1, the sum of the slab shares in slab order.
     """
     work = state.gap_for(model, tset)
     state.sources.pop("gap")
     p, b1, x_out = state.p, state.b1, tset.x_out
     tau = 1.0 / (2.0 * config.lam)
-    state.sources.pop("p_l1", None)
 
     def slab(rows):
         v = np.add(work[rows], b1[rows], out=work[rows])
@@ -480,9 +453,9 @@ def update_sparse_residual(model, tset, state, config):
         target += b1[rows]
         return l1
 
-    state.p_l1 = _over_slabs(slab, p.shape)
-    state.sources["p_l1"] = (p,)
+    p_l1 = _over_slabs(slab, p.shape)
     state.sources["work"] = (x_out, p, b1)
+    return p_l1
 
 
 def update_encoder(model, tset, state, config):
@@ -527,40 +500,36 @@ def update_latent(model, tset, state, config):
 
 def update_relaxation(model, tset, state, config):
     """Relaxation-variable update closing one cycle: B <- R ("reflective")
-    or B <- -R ("additive").  With R = C - B from
-    :func:`constraint_residuals` these are B <- C - B and the running sum
+    or B <- -R ("additive").  With R = C - B the relaxed residuals of the
+    coupling constraints C1 = P - (X_out - W_dec Z) and
+    C2 = Z - phi(W_enc X_in), these are B <- C - B and the running sum
     B <- B - C, written into B in place; B - C (not -R) keeps exact zeros
     positive.  A state without B2 updates B1 only.
 
     B1 is updated in one pass over the row slabs, after the whole-matrix
     product W_dec Z in the work array: gap = X_out - W_dec Z in place
     (kept for the next P1), then C1 = P - gap, the update, and the slab's
-    share of ||B1||^2, which the state keeps for the objective; C1 and
-    B1^2 are slab-sized temporaries.  C2 and B2 are whole h x N arrays.
+    share of ||B1||^2; C1 and B1^2 are slab-sized temporaries.  C2 and B2
+    are whole h x N arrays.  Returns ||B1||^2, the objective's lam term.
     """
-    sources = (tset.x_out, model.w_dec, state.z)
-    stale = not state.computed_from("gap", *sources)
-    if stale:
-        np.matmul(model.w_dec, state.z, out=state.scratch())
-    gap, p, b1, x_out = state.work, state.p, state.b1, tset.x_out
+    gap = np.matmul(model.w_dec, state.z, out=state.scratch())
+    p, b1, x_out = state.p, state.b1, tset.x_out
     reflective = config.bregman_update == "reflective"
-    state.sources.pop("b1_sq", None)
 
     def relax(c, b):
         return np.subtract(c, b, out=b) if reflective else np.subtract(b, c, out=b)
 
     def slab(rows):
-        if stale:
-            np.subtract(x_out[rows], gap[rows], out=gap[rows])
+        np.subtract(x_out[rows], gap[rows], out=gap[rows])
         c1 = np.subtract(p[rows], gap[rows])
         b = relax(c1, b1[rows])
         return float(np.multiply(b, b, out=c1).sum())
 
-    state.b1_sq = _over_slabs(slab, b1.shape)
-    state.sources["gap"] = sources
-    state.sources["b1_sq"] = (b1,)
+    b1_sq = _over_slabs(slab, b1.shape)
+    state.sources["gap"] = (x_out, model.w_dec, state.z)
     if state.b2 is not None:
         relax(state.z - state.encoded_for(model, tset), state.b2)
+    return b1_sq
 
 
 def split_bregman_step(model, tset, state, config):
@@ -569,19 +538,23 @@ def split_bregman_step(model, tset, state, config):
 
     The constraint residuals are evaluated once, after the last block, and
     update the relaxation variables the cycle was solved with.  B is then
-    R or -R, so the objective appended to ``state.objective_history``
-    takes its penalty terms from B.
+    R or -R, so the objective appended to ``state.objective_history``, the
+    :func:`penalty_objective` of the state the relaxation update found,
+    is summed by the two slab passes: ||P||_1 by P1 and ||B1||^2 by the
+    relaxation update, plus the mu term from B2 in coupled runs.
     Returns the mutated (model, state) pair.
     """
     coupled = state.b2 is not None
-    update_sparse_residual(model, tset, state, config)
+    p_l1 = update_sparse_residual(model, tset, state, config)
     if coupled:
         update_encoder(model, tset, state, config)
     update_decoder(model, tset, state, config)
     if coupled:
         update_latent(model, tset, state, config)
-    update_relaxation(model, tset, state, config)
-    objective = penalty_objective(model, tset, state, config, (state.b1, state.b2))
+    b1_sq = update_relaxation(model, tset, state, config)
+    objective = p_l1 + config.lam * b1_sq
+    if coupled:
+        objective += config.mu * float((state.b2 * state.b2).sum())
     if not (
         np.isfinite(objective)
         and np.all(np.isfinite(model.w_enc))

@@ -52,6 +52,7 @@ _DEGRADATION_KEYS = (
 _CONFIG_KEYS = {
     "degrade": _DEGRADATION_KEYS,
     "train": (*TRAIN_FIELDS, "patch_size", "overlap", *_DEGRADATION_KEYS),
+    "reconstruct": ("overlap",),
     "cs-recon": (
         "ista_lambda", "ista_iters", "ista_tol", "transform", "wavelet_levels",
     ) + _DEGRADATION_KEYS,
@@ -115,7 +116,7 @@ def _build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--overlap", action="store_true")
+    _add_config_flags(p, "reconstruct")
 
     p = sub.add_parser("cs-recon", help="ISTA compressed-sensing reconstruction")
     p.add_argument("--image", required=True, help="clean image; acquisition is simulated")

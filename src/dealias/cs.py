@@ -143,7 +143,6 @@ def ista_solve(
     max_iter: int = 200,
     tol: float = 1e-6,
     power_iters: int = 50,
-    power_seed: int = 0,
 ) -> CsSolveReport:
     """Iterative soft thresholding for min_x ||y - Ax||_2^2 + lam ||x||_1.
 
@@ -159,7 +158,7 @@ def ista_solve(
     y = np.asarray(y)
     top = op.norm_sq
     if top is None:
-        top = max_eigenvalue(op, power_iters, power_seed)
+        top = max_eigenvalue(op, power_iters)
     if top <= 0:
         raise ValueError("operator has zero spectral norm")
     sigma = 0.95 / top

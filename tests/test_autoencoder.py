@@ -1,6 +1,7 @@
 """Robust trainer internals: the activation, exact block solves, training loops."""
 
 import hashlib
+import operator
 import sys
 import tracemalloc
 
@@ -18,7 +19,6 @@ from dealias.autoencoder import (
     _initial_state,
     _initial_weights,
     activate,
-    constraint_residuals,
     l2_loss_and_grads,
     penalty_objective,
     soft_threshold,
@@ -414,7 +414,6 @@ class TestRelaxationIdentity:
         tset = toy_training_set(dim=16, count=64, seed=0)
         model, state = d.train_robust(tset, config)
         assert state.b2 is None
-        assert constraint_residuals(model, tset, state)[1] is None
         history, weights_sha256 = ANCHORED_PINS[bregman]
         assert state.objective_history == history
         weights = model.w_enc.tobytes() + model.w_dec.tobytes()
@@ -458,6 +457,13 @@ def state_bytes(model, state):
     return [None if a is None else a.tobytes() for a in arrays]
 
 
+def written_state(state):
+    """The bytes of P, Z, B1, B2 and the work array, and a copy of the
+    kept products' sources (compared by identity)."""
+    arrays = (state.p, state.z, state.b1, state.b2, state.work)
+    return [None if a is None else a.tobytes() for a in arrays], dict(state.sources)
+
+
 class TestCycleBuffers:
     """The cycle works in the state's own arrays and reuses kept products
     only while the arrays they came from are current."""
@@ -483,8 +489,7 @@ class TestCycleBuffers:
     @VARIANTS
     def test_blocks_one_at_a_time_match_cycle(self, latent, bregman):
         # criterion 2's sequence: the objective between blocks (here twice,
-        # so the second call finds the products it kept) uses the work
-        # array and must not disturb the cycle
+        # and both calls agree) must not disturb the cycle
         config = d.TrainConfig(
             hidden=8, lam=1.0, mu=1.0, bregman_update=bregman, latent_update=latent
         )
@@ -516,9 +521,9 @@ class TestCycleBuffers:
     def test_objective_after_every_block_leaves_run_unchanged(
         self, latent, bregman, shape, monkeypatch
     ):
-        # the objective taken between blocks writes C1 over the gap in the
-        # one d x N scratch; the blocks after it rebuild what they read, and
-        # it equals the objective of a state that keeps no products
+        # the objective taken between blocks writes nothing to the state:
+        # arrays, scratch and kept products are as they were, and it equals
+        # the objective of a state that keeps no products
         dim, count, hidden = shape
         config = d.TrainConfig(
             hidden=hidden, lam=20.0, ridge_eps=1e-2, max_iter=3, rel_tol=0.0,
@@ -531,13 +536,20 @@ class TestCycleBuffers:
         for block in blocks + (update_relaxation,):
 
             def followed(model, tset, state, config, block=block):
-                block(model, tset, state, config)
+                result = block(model, tset, state, config)
+                before = written_state(state)
                 objectives.append(penalty_objective(model, tset, state, config))
+                after = written_state(state)
+                assert after[0] == before[0]
+                assert after[1].keys() == before[1].keys()
+                for name, kept in before[1].items():
+                    assert all(map(operator.is_, after[1][name], kept)), name
                 fresh = SplitBregmanState(
                     p=state.p.copy(), z=state.z.copy(), b1=state.b1.copy(),
                     b2=None if state.b2 is None else state.b2.copy(),
                 )
                 assert penalty_objective(model, tset, fresh, config) == objectives[-1]
+                return result
 
             monkeypatch.setattr(autoencoder, block.__name__, followed)
         model, state = d.train_robust(tset, config)
@@ -737,8 +749,8 @@ class TestSlabs:
         for cores in (1, 2, 6):
             monkeypatch.setattr(autoencoder, "_usable_cores", lambda: cores)
             runs.append(self._run(latent, bregman))
-        # one pool per pass and per objective sum that is not kept: none on
-        # one core, and never more helpers than slabs after the caller
+        # one pool per pass: none on one core, and never more helpers than
+        # slabs after the caller
         assert pools and set(pools) == {1, 3}
         (model, state), *others = runs
         for other_model, other_state in others:
@@ -748,7 +760,7 @@ class TestSlabs:
     @VARIANTS
     def test_slab_sums_kept_by_the_cycle_match_the_objective(self, latent, bregman):
         # the objective recomputed from P and B1 adds the same slab partials
-        # as the passes that kept ||P||_1 and ||B1||^2
+        # as the passes that summed ||P||_1 and ||B1||^2
         config = d.TrainConfig(
             hidden=16, lam=20.0, ridge_eps=1e-2, bregman_update=bregman, latent_update=latent
         )
@@ -757,9 +769,10 @@ class TestSlabs:
         state = fresh_state(model, tset, config)
         for _ in range(2):
             split_bregman_step(model, tset, state, config)
-            state.sources.pop("p_l1")
-            state.sources.pop("b1_sq")
-            recomputed = penalty_objective(model, tset, state, config, (state.b1, state.b2))
+            recomputed = autoencoder._slab_sum(np.abs(state.p))
+            recomputed += config.lam * autoencoder._slab_sum(state.b1 * state.b1)
+            if state.b2 is not None:
+                recomputed += config.mu * float((state.b2 * state.b2).sum())
             assert recomputed == state.objective_history[-1]
 
     def test_slabs_cover_rows_once_by_shape_alone(self, monkeypatch):

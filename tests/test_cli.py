@@ -211,6 +211,11 @@ SUBCOMMANDS = {
             "--no-overlap": "overlap", **DEGRADATION_FLAGS,
         },
     ),
+    "reconstruct": (
+        ["--model", "m", "--image", "i.rdt", "--out", "o.rdt"],
+        {"-h", "--help", "--model", "--image", "--out"},
+        {"--overlap": "overlap", "--no-overlap": "overlap"},
+    ),
     "cs-recon": (
         ["--image", "i.rdt", "--out", "o.rdt"],
         {"-h", "--help", "--image", "--out"},
