@@ -23,6 +23,7 @@ gradient-descent trainer with the same architecture is the non-robust baseline.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import functools
 import operator
 import os
@@ -90,9 +91,9 @@ def solve_ridge_least_squares(a, b, ridge_eps: float = 1e-6, side: str = "left")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if side == "left":
-        return scipy.linalg.cho_solve(_gram_factor(a, ridge_eps), a @ b.T).T
+        return _one_blas_thread(scipy.linalg.cho_solve, _gram_factor(a, ridge_eps), a @ b.T).T
     if side == "right":
-        return scipy.linalg.cho_solve(_gram_factor(a.T, ridge_eps), a.T @ b)
+        return _one_blas_thread(scipy.linalg.cho_solve, _gram_factor(a.T, ridge_eps), a.T @ b)
     raise ValueError(f"unknown side: {side!r}")
 
 
@@ -100,7 +101,70 @@ def _gram_factor(a, ridge_eps):
     """Cholesky factor of the ridge-stabilized Gram matrix a a^T + eps I."""
     gram = a @ a.T
     gram[np.diag_indices_from(gram)] += ridge_eps
-    return scipy.linalg.cho_factor(gram)
+    return _one_blas_thread(scipy.linalg.cho_factor, gram)
+
+
+# OpenBLAS's thread-count pair, as the scipy-openblas wheels export it (LP64
+# for scipy, ILP64 with the 64_ suffix for numpy) and as a system build does
+_OPENBLAS_THREAD_APIS = tuple(
+    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+    for prefix in ("scipy_openblas_", "openblas_")
+    for suffix in ("", "64_")
+)
+_blas_threads_lock = threading.Lock()
+
+
+@functools.cache
+def _openblas_pools():
+    """The (get, set) thread-count functions of every OpenBLAS mapped into
+    the process, found once from /proc/self/maps.  ``ctypes.CDLL`` on a
+    mapped path returns the instance already loaded.  Empty where there is
+    no /proc or no OpenBLAS with the API."""
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps if "openblas" in line]
+    except OSError:
+        return ()
+    pools = []
+    for path in sorted({f[5].strip() for f in fields if len(f) == 6}):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_APIS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                pools.append((get, put))
+                break
+    return tuple(pools)
+
+
+def _one_blas_thread(call, *args):
+    """``call(*args)``, a scipy Cholesky factor or solve, with every loaded
+    OpenBLAS set to one thread and its count restored afterwards.
+
+    numpy and scipy each bring an OpenBLAS with its own thread pool.  After
+    a threaded call a pool's idle worker spins on a core for a while, so a
+    threaded solve in scipy's pool slows the numpy product after it by half
+    or more.  The trainer's factors are h x h, so one thread costs its
+    solves little, and scipy's worker then never wakes.  numpy's products
+    keep all their threads.  The lock is held for the whole call, so
+    concurrent callers take turns, each restoring the counts it found.
+    """
+    pools = _openblas_pools()
+    if not pools:
+        return call(*args)
+    with _blas_threads_lock:
+        counts = [get() for get, _ in pools]
+        for _, put in pools:
+            put(1)
+        try:
+            return call(*args)
+        finally:
+            for (_, put), count in zip(pools, counts):
+                put(count)
 
 
 def _row_slabs(shape):
@@ -464,7 +528,7 @@ def update_encoder(model, tset, state, config):
     """
     input_gram = state.gram_for("input", tset.x_in, config.ridge_eps)
     target = activate(state.z - state.b2, "inverse")
-    model.w_enc = scipy.linalg.cho_solve(input_gram, tset.x_in @ target.T).T
+    model.w_enc = _one_blas_thread(scipy.linalg.cho_solve, input_gram, tset.x_in @ target.T).T
 
 
 def update_decoder(model, tset, state, config):
@@ -473,8 +537,10 @@ def update_decoder(model, tset, state, config):
     factors it once) and the target left in the work array for a coupled P4.
     """
     target = state.decoder_target(tset)
-    model.w_dec = scipy.linalg.cho_solve(
-        state.gram_for("feature", state.z, config.ridge_eps), state.z @ target.T
+    model.w_dec = _one_blas_thread(
+        scipy.linalg.cho_solve,
+        state.gram_for("feature", state.z, config.ridge_eps),
+        state.z @ target.T,
     ).T
 
 
@@ -494,7 +560,8 @@ def update_latent(model, tset, state, config):
     gram[np.diag_indices_from(gram)] += config.mu + config.ridge_eps
     rhs = config.lam * (model.w_dec.T @ state.decoder_target(tset))
     rhs += config.mu * (anchor + state.b2)
-    state.z = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), rhs)
+    factor = _one_blas_thread(scipy.linalg.cho_factor, gram)
+    state.z = _one_blas_thread(scipy.linalg.cho_solve, factor, rhs)
     state.sources.pop("feature", None)  # it would keep the old Z alive
 
 

@@ -3,7 +3,9 @@
 import hashlib
 import operator
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -418,6 +420,12 @@ class TestRelaxationIdentity:
         assert state.objective_history == history
         weights = model.w_enc.tobytes() + model.w_dec.tobytes()
         assert hashlib.sha256(weights).hexdigest() == weights_sha256
+
+    @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
+    def test_pinned_bytes_with_no_openblas_found(self, bregman, monkeypatch):
+        # the solves then run on the thread counts as they are
+        monkeypatch.setattr(autoencoder, "_openblas_pools", lambda: ())
+        self.test_anchored_run_has_no_b2_and_pinned_bytes(bregman)
 
 
 # anchored train_robust at d=16, N=64, h=8, lam 20, ridge 1e-2, 10 cycles:
@@ -849,6 +857,93 @@ class TestTrainRobust:
         m2, _ = d.train_robust(tset, config)
         assert np.array_equal(m1.w_enc, m2.w_enc)
         assert np.array_equal(m1.w_dec, m2.w_dec)
+
+
+OPENBLAS_POOLS = autoencoder._openblas_pools()
+ONE_THREAD, TWO_THREADS = [1] * len(OPENBLAS_POOLS), [2] * len(OPENBLAS_POOLS)
+
+
+def blas_thread_counts():
+    return [get() for get, _ in OPENBLAS_POOLS]
+
+
+@pytest.mark.skipif(not OPENBLAS_POOLS, reason="no OpenBLAS with a thread-count API is loaded")
+class TestOneBlasThread:
+    """Every Cholesky factor and solve runs with each loaded OpenBLAS on one
+    thread, and leaves the thread counts as it found them."""
+
+    @pytest.fixture(autouse=True)
+    def two_threads(self):
+        # two threads whatever the machine, so a solve left threaded shows
+        before = blas_thread_counts()
+        for _, put in OPENBLAS_POOLS:
+            put(2)
+        assert blas_thread_counts() == TWO_THREADS
+        yield
+        for (_, put), count in zip(OPENBLAS_POOLS, before):
+            put(count)
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """(name, thread counts) inside every scipy Cholesky call, in order."""
+        seen = []
+        for name in ("cho_factor", "cho_solve"):
+
+            def recording(*args, call=getattr(scipy.linalg, name), name=name, **kwargs):
+                seen.append((name, blas_thread_counts()))
+                return call(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg, name, recording)
+        return seen
+
+    @pytest.mark.parametrize("latent", LATENT_UPDATES)
+    def test_run_factors_and_solves_on_one_thread(self, latent, seen):
+        config = d.TrainConfig(
+            hidden=8, max_iter=3, rel_tol=0.0, latent_update=latent, bregman_update="reflective"
+        )
+        d.train_robust(toy_training_set(dim=16, count=64, seed=0), config)
+        # anchored: F F^T once, then P3 each cycle; coupled: the input gram
+        # once, then P2, P3 (factor and solve) and P4 (factor and solve)
+        factors = 1 if latent == "anchored" else 7
+        assert [name for name, _ in seen].count("cho_factor") == factors
+        assert len(seen) == (4 if latent == "anchored" else 16)
+        assert all(counts == ONE_THREAD for _, counts in seen)
+        assert blas_thread_counts() == TWO_THREADS
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_ridge_solve_on_one_thread(self, side, seen):
+        a, b = SeededRng(11).normal((6, 6)), SeededRng(12).normal((6, 6))
+        solve_ridge_least_squares(a, b, side=side)
+        assert seen == [("cho_factor", ONE_THREAD), ("cho_solve", ONE_THREAD)]
+        assert blas_thread_counts() == TWO_THREADS
+
+    def test_counts_restored_after_a_solve_that_raises(self, seen):
+        # a negative ridge leaves the Gram matrix indefinite, so cho_factor raises
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_ridge_least_squares(np.eye(4), np.ones((2, 4)), ridge_eps=-2.0)
+        assert seen == [("cho_factor", ONE_THREAD)]
+        assert blas_thread_counts() == TWO_THREADS
+
+    def test_concurrent_solves_leave_counts_unchanged(self):
+        # at order 256 a factor on two threads has other bytes than on one
+        a, b = SeededRng(13).normal((256, 300)), SeededRng(14).normal((16, 300))
+        expected = solve_ridge_least_squares(a, b)
+        start = threading.Barrier(8)
+
+        def solve(_):
+            start.wait(timeout=30)
+            return [solve_ridge_least_squares(a, b) for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                results = [x for xs in pool.map(solve, range(8), timeout=60) for x in xs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 160
+        assert all(np.array_equal(x, expected) for x in results)
+        assert blas_thread_counts() == TWO_THREADS
 
 
 class TestObjectiveL1:
