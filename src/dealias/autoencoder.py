@@ -15,7 +15,7 @@ followed by the relaxation update B <- R ("reflective") or B <- -R
 two coupling constraints: the ``coupled`` trainer.  The ``anchored`` one
 freezes Z at the random features F = phi(W_0 X_in) of the seeded initial
 encoder, so it has no B2, P2, P4 or mu term, and cycles P1, P3 (F F^T + eps I
-factored once) and the B1 update: scaled ADMM for one least-absolute-deviation
+inverted once) and the B1 update: scaled ADMM for one least-absolute-deviation
 regression per output pixel (Boyd et al. 2011, section 6.1).  An l2
 gradient-descent trainer with the same architecture is the non-robust baseline.
 """
@@ -23,7 +23,6 @@ gradient-descent trainer with the same architecture is the non-robust baseline.
 from __future__ import annotations
 
 import contextvars
-import ctypes
 import functools
 import operator
 import os
@@ -33,7 +32,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     FormatError,
@@ -85,86 +83,25 @@ def solve_ridge_least_squares(a, b, ridge_eps: float = 1e-6, side: str = "left")
     side="left"  solves  min_X ||B - X A||_F^2  via  X = B A^T (A A^T + eps I)^-1
     side="right" solves  min_X ||B - A X||_F^2  via  X = (A^T A + eps I)^-1 A^T B
 
-    The ridge keeps the Gram matrix invertible for rank-deficient systems,
-    so the result is always finite.
+    Both are a product with the explicit inverse from :func:`_gram_inverse`,
+    as the trainer's ridge blocks take them.  The ridge keeps the Gram matrix
+    invertible for rank-deficient systems, so the result is always finite.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if side == "left":
-        return _one_blas_thread(scipy.linalg.cho_solve, _gram_factor(a, ridge_eps), a @ b.T).T
+        return (b @ a.T) @ _gram_inverse(a, ridge_eps)
     if side == "right":
-        return _one_blas_thread(scipy.linalg.cho_solve, _gram_factor(a.T, ridge_eps), a.T @ b)
+        return _gram_inverse(a.T, ridge_eps) @ (a.T @ b)
     raise ValueError(f"unknown side: {side!r}")
 
 
-def _gram_factor(a, ridge_eps):
-    """Cholesky factor of the ridge-stabilized Gram matrix a a^T + eps I."""
+def _gram_inverse(a, ridge_eps):
+    """(a a^T + eps I)^-1, from numpy's LAPACK, so that the products and
+    the inverse share numpy's one OpenBLAS thread pool."""
     gram = a @ a.T
     gram[np.diag_indices_from(gram)] += ridge_eps
-    return _one_blas_thread(scipy.linalg.cho_factor, gram)
-
-
-# OpenBLAS's thread-count pair, as the scipy-openblas wheels export it (LP64
-# for scipy, ILP64 with the 64_ suffix for numpy) and as a system build does
-_OPENBLAS_THREAD_APIS = tuple(
-    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
-    for prefix in ("scipy_openblas_", "openblas_")
-    for suffix in ("", "64_")
-)
-_blas_threads_lock = threading.Lock()
-
-
-@functools.cache
-def _openblas_pools():
-    """The (get, set) thread-count functions of every OpenBLAS mapped into
-    the process, found once from /proc/self/maps.  ``ctypes.CDLL`` on a
-    mapped path returns the instance already loaded.  Empty where there is
-    no /proc or no OpenBLAS with the API."""
-    try:
-        with open("/proc/self/maps") as maps:
-            fields = [line.split(maxsplit=5) for line in maps if "openblas" in line]
-    except OSError:
-        return ()
-    pools = []
-    for path in sorted({f[5].strip() for f in fields if len(f) == 6}):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_APIS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, put = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = (), ctypes.c_int
-                put.argtypes, put.restype = (ctypes.c_int,), None
-                pools.append((get, put))
-                break
-    return tuple(pools)
-
-
-def _one_blas_thread(call, *args):
-    """``call(*args)``, a scipy Cholesky factor or solve, with every loaded
-    OpenBLAS set to one thread and its count restored afterwards.
-
-    numpy and scipy each bring an OpenBLAS with its own thread pool.  After
-    a threaded call a pool's idle worker spins on a core for a while, so a
-    threaded solve in scipy's pool slows the numpy product after it by half
-    or more.  The trainer's factors are h x h, so one thread costs its
-    solves little, and scipy's worker then never wakes.  numpy's products
-    keep all their threads.  The lock is held for the whole call, so
-    concurrent callers take turns, each restoring the counts it found.
-    """
-    pools = _openblas_pools()
-    if not pools:
-        return call(*args)
-    with _blas_threads_lock:
-        counts = [get() for get, _ in pools]
-        for _, put in pools:
-            put(1)
-        try:
-            return call(*args)
-        finally:
-            for (_, put), count in zip(pools, counts):
-                put(count)
+    return np.linalg.inv(gram)
 
 
 def _row_slabs(shape):
@@ -345,10 +282,10 @@ class SplitBregmanState:
       and a coupled P4 read through :meth:`decoder_target`;
     - ``encoded`` = phi(W_enc X_in), computed by P4 and reused by the
       relaxation update; an anchored Z is this array itself;
-    - ``grams``, the Cholesky factors of A A^T + eps I that the ridge
-      blocks solve with: ``"input"`` (A = X_in) for P2, factored once per
-      run, and ``"feature"`` (A = Z) for P3, factored once in an anchored
-      run; a coupled P4 drops the latter with the Z it came from.
+    - ``inverses``, the inverses (A A^T + eps I)^-1 that the ridge blocks
+      multiply by: ``"input"`` (A = X_in) for P2, inverted once per run,
+      and ``"feature"`` (A = Z) for P3, inverted once in an anchored run;
+      a coupled P4 drops the latter with the Z it came from.
 
     A block that writes the work array, P or B1 drops the entries of
     ``sources`` it invalidates.  The cycle keeps no sums: P1 and the
@@ -356,7 +293,7 @@ class SplitBregmanState:
     :func:`_over_slabs`), and :func:`split_bregman_step` forms the
     objective from them.  :func:`penalty_objective` only reads the state.
     ``work`` is allocated on first use, and :func:`train_robust` lets it
-    and ``grams`` go when it returns.
+    and ``inverses`` go when it returns.
     """
 
     p: np.ndarray
@@ -366,7 +303,7 @@ class SplitBregmanState:
     iteration: int = 0
     objective_history: list = field(default_factory=list)
     encoded: np.ndarray | None = field(default=None, repr=False)
-    grams: dict = field(default_factory=dict, repr=False)
+    inverses: dict = field(default_factory=dict, repr=False)
     work: np.ndarray | None = field(default=None, repr=False)
     sources: dict = field(default_factory=dict, repr=False)
 
@@ -401,13 +338,13 @@ class SplitBregmanState:
             self.sources["encoded"] = sources
         return self.encoded
 
-    def gram_for(self, name, a, ridge_eps):
-        """Cholesky factor of a a^T + eps I, kept as ``grams[name]``."""
+    def inverse_for(self, name, a, ridge_eps):
+        """(a a^T + eps I)^-1, kept as ``inverses[name]``."""
         sources = (a, ridge_eps)
         if not self.computed_from(name, *sources):
-            self.grams[name] = _gram_factor(a, ridge_eps)
+            self.inverses[name] = _gram_inverse(a, ridge_eps)
             self.sources[name] = sources
-        return self.grams[name]
+        return self.inverses[name]
 
     def decoder_target(self, tset):
         """X_out - P + B1, built in the work array unless it is still there."""
@@ -524,24 +461,19 @@ def update_sparse_residual(model, tset, state, config):
 
 def update_encoder(model, tset, state, config):
     """P2 (coupled runs): W_enc = phi^-1(Z - B2) X_in^T (G + eps I)^-1 with
-    G = X_in X_in^T, whose (iteration invariant) factor the state keeps.
+    G = X_in X_in^T, whose (iteration invariant) inverse the state keeps.
     """
-    input_gram = state.gram_for("input", tset.x_in, config.ridge_eps)
     target = activate(state.z - state.b2, "inverse")
-    model.w_enc = _one_blas_thread(scipy.linalg.cho_solve, input_gram, tset.x_in @ target.T).T
+    model.w_enc = (target @ tset.x_in.T) @ state.inverse_for("input", tset.x_in, config.ridge_eps)
 
 
 def update_decoder(model, tset, state, config):
     """P3: ``solve_ridge_least_squares(Z, X_out - P + B1, eps)`` bit for bit,
-    with the factor of Z Z^T + eps I kept by the state (an anchored run
-    factors it once) and the target left in the work array for a coupled P4.
+    with the inverse of Z Z^T + eps I kept by the state (an anchored run
+    inverts it once) and the target left in the work array for a coupled P4.
     """
     target = state.decoder_target(tset)
-    model.w_dec = _one_blas_thread(
-        scipy.linalg.cho_solve,
-        state.gram_for("feature", state.z, config.ridge_eps),
-        state.z @ target.T,
-    ).T
+    model.w_dec = (target @ state.z.T) @ state.inverse_for("feature", state.z, config.ridge_eps)
 
 
 def update_latent(model, tset, state, config):
@@ -551,17 +483,18 @@ def update_latent(model, tset, state, config):
         (lam W_dec^T W_dec + (mu + eps) I) Z = lam W_dec^T M + mu N
 
     with M = X_out - P + B1 and N = phi(W_enc X_in) + B2, which is the
-    exact block minimizer of the relaxed objective over Z.  It computes
-    phi(W_enc X_in) through the state, where the residual pass finds it,
-    and needs the state's B2 whatever ``config.latent_update`` says.
+    exact block minimizer of the relaxed objective over Z.  The Gram
+    matrix changes every cycle, so it is solved, not inverted, and Z comes
+    back C-contiguous.  It computes phi(W_enc X_in) through the state,
+    where the residual pass finds it, and needs the state's B2 whatever
+    ``config.latent_update`` says.
     """
     anchor = state.encoded_for(model, tset)
     gram = config.lam * (model.w_dec.T @ model.w_dec)
     gram[np.diag_indices_from(gram)] += config.mu + config.ridge_eps
     rhs = config.lam * (model.w_dec.T @ state.decoder_target(tset))
     rhs += config.mu * (anchor + state.b2)
-    factor = _one_blas_thread(scipy.linalg.cho_factor, gram)
-    state.z = _one_blas_thread(scipy.linalg.cho_solve, factor, rhs)
+    state.z = np.linalg.solve(gram, rhs)
     state.sources.pop("feature", None)  # it would keep the old Z alive
 
 
@@ -685,9 +618,9 @@ def train_robust(tset: TrainingSet, config: TrainConfig):
         split_bregman_step(model, tset, state, config)
         if _window_converged(state.objective_history, config.rel_tol):
             break
-    # the d x N scratch and the (d+1)^2 factor stay with the trainer
+    # the d x N scratch and the (d+1)^2 inverse stay with the trainer
     state.work = None
-    state.grams.clear()
+    state.inverses.clear()
     state.sources.clear()
     return model, state
 
