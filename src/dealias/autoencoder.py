@@ -269,27 +269,26 @@ class SplitBregmanState:
     the second constraint holds exactly.  The cycle then runs no P2 or P4,
     and leaves C2, R2 and the mu term out.
 
-    The trainer owns these arrays and updates P, B1 and B2 in place, so a
-    caller that changes one replaces it rather than writing into it.  The
-    state also keeps products of the cycle, each with the arrays it was
-    computed from, and a block reuses a product only while exactly those
-    arrays (by identity) are current:
+    The trainer owns these arrays and updates P, B1 and B2 in place.  The
+    blocks hand products down in cycle order, P1 -> (P2) -> P3 -> (P4) ->
+    relaxation update, and a block forms a product it does not find:
 
-    - ``work``, the one d x N scratch array of the cycle, holds one of two
-      kept products at a time: ``"gap"`` = X_out - W_dec Z, which the
-      relaxation update forms and the next cycle's P1 reads, or ``"work"``,
-      the decoder target X_out - P + B1 that P1 writes over the gap and P3
-      and a coupled P4 read through :meth:`decoder_target`;
-    - ``encoded`` = phi(W_enc X_in), computed by P4 and reused by the
-      relaxation update; an anchored Z is this array itself;
+    - ``work``, the one d x N scratch array of the cycle, holds what
+      ``holds`` names: ``"gap"`` = X_out - W_dec Z, which the relaxation
+      update forms and the next cycle's P1 reads, or ``"target"``, the
+      decoder target X_out - P + B1 that P1 writes over the gap and P3 and
+      a coupled P4 read through :meth:`decoder_target`;
+    - ``encoded`` = phi(W_enc X_in), formed by P4 and read by the
+      relaxation update; P2 drops it with the W_enc it came from;
     - ``inverses``, the inverses (A A^T + eps I)^-1 that the ridge blocks
-      multiply by: ``"input"`` (A = X_in) for P2, inverted once per run,
-      and ``"feature"`` (A = Z) for P3, inverted once in an anchored run;
-      a coupled P4 drops the latter with the Z it came from.
+      multiply by, formed on first use: ``"input"`` (A = X_in) for P2, and
+      ``"feature"`` (A = Z) for P3, which a coupled P4 drops with its Z.
 
-    A block that writes the work array, P or B1 drops the entries of
-    ``sources`` it invalidates.  The cycle keeps no sums: P1 and the
-    relaxation update return ||P||_1 and ||B1||^2, added slab by slab (see
+    Any sequence of blocks keeps these right, since each block drops or
+    rewrites what its own writes invalidate.  A caller that replaces an
+    array mid-run builds a new state from the arrays, which forms the
+    products afresh.  The cycle keeps no sums: P1 and the relaxation
+    update return ||P||_1 and ||B1||^2, added slab by slab (see
     :func:`_over_slabs`), and :func:`split_bregman_step` forms the
     objective from them.  :func:`penalty_objective` only reads the state.
     ``work`` is allocated on first use, and :func:`train_robust` lets it
@@ -305,54 +304,26 @@ class SplitBregmanState:
     encoded: np.ndarray | None = field(default=None, repr=False)
     inverses: dict = field(default_factory=dict, repr=False)
     work: np.ndarray | None = field(default=None, repr=False)
-    sources: dict = field(default_factory=dict, repr=False)
+    holds: str | None = field(default=None, repr=False)
 
-    def computed_from(self, name, *arrays) -> bool:
-        """True while the kept value ``name`` comes from exactly ``arrays``."""
-        had = self.sources.get(name, ())
-        return len(had) == len(arrays) and all(map(operator.is_, had, arrays))
-
-    def scratch(self):
-        """The work array, for a block about to overwrite it."""
+    def scratch(self, holds):
+        """The work array, for a block about to write ``holds`` into it."""
         if self.work is None:
             self.work = np.empty_like(self.p)
-        self.sources.pop("gap", None)
-        self.sources.pop("work", None)
+        self.holds = holds
         return self.work
 
-    def gap_for(self, model, tset):
-        """X_out - W_dec Z, formed in the work array: W_dec Z first, then
-        subtracted from X_out in place."""
-        sources = (tset.x_out, model.w_dec, self.z)
-        if not self.computed_from("gap", *sources):
-            product = np.matmul(model.w_dec, self.z, out=self.scratch())
-            np.subtract(tset.x_out, product, out=product)
-            self.sources["gap"] = sources
-        return self.work
-
-    def encoded_for(self, model, tset):
-        """phi(W_enc X_in)."""
-        sources = (tset.x_in, model.w_enc)
-        if not self.computed_from("encoded", *sources):
-            self.encoded = activate(model.w_enc @ tset.x_in)
-            self.sources["encoded"] = sources
-        return self.encoded
-
-    def inverse_for(self, name, a, ridge_eps):
+    def inverse(self, name, a, ridge_eps):
         """(a a^T + eps I)^-1, kept as ``inverses[name]``."""
-        sources = (a, ridge_eps)
-        if not self.computed_from(name, *sources):
+        if name not in self.inverses:
             self.inverses[name] = _gram_inverse(a, ridge_eps)
-            self.sources[name] = sources
         return self.inverses[name]
 
     def decoder_target(self, tset):
-        """X_out - P + B1, built in the work array unless it is still there."""
-        sources = (tset.x_out, self.p, self.b1)
-        if not self.computed_from("work", *sources):
-            np.subtract(tset.x_out, self.p, out=self.scratch())
+        """X_out - P + B1, built in the work array unless it is there."""
+        if self.holds != "target":
+            np.subtract(tset.x_out, self.p, out=self.scratch("target"))
             self.work += self.b1
-            self.sources["work"] = sources
         return self.work
 
 
@@ -435,11 +406,15 @@ def update_sparse_residual(model, tset, state, config):
     One pass over the row slabs: v = gap + B1 replaces the gap in the
     work array and max(|v| - tau, 0) is formed in P, whose sum is the
     slab's share of ||P||_1 exactly, so it is taken before the sign of v
-    is applied.  The target then replaces v, and the state keeps it.
-    Returns ||P||_1, the sum of the slab shares in slab order.
+    is applied.  The target then replaces v, and the state keeps it.  A
+    state that does not hold the gap forms it first: W_dec Z, then
+    subtracted from X_out in place.  Returns ||P||_1, the sum of the slab
+    shares in slab order.
     """
-    work = state.gap_for(model, tset)
-    state.sources.pop("gap")
+    if state.holds != "gap":
+        gap = np.matmul(model.w_dec, state.z, out=state.scratch("gap"))
+        np.subtract(tset.x_out, gap, out=gap)
+    work = state.scratch("target")
     p, b1, x_out = state.p, state.b1, tset.x_out
     tau = 1.0 / (2.0 * config.lam)
 
@@ -454,17 +429,17 @@ def update_sparse_residual(model, tset, state, config):
         target += b1[rows]
         return l1
 
-    p_l1 = _over_slabs(slab, p.shape)
-    state.sources["work"] = (x_out, p, b1)
-    return p_l1
+    return _over_slabs(slab, p.shape)
 
 
 def update_encoder(model, tset, state, config):
     """P2 (coupled runs): W_enc = phi^-1(Z - B2) X_in^T (G + eps I)^-1 with
     G = X_in X_in^T, whose (iteration invariant) inverse the state keeps.
+    It drops the state's phi(W_enc X_in), which the old W_enc gave.
     """
     target = activate(state.z - state.b2, "inverse")
-    model.w_enc = (target @ tset.x_in.T) @ state.inverse_for("input", tset.x_in, config.ridge_eps)
+    model.w_enc = (target @ tset.x_in.T) @ state.inverse("input", tset.x_in, config.ridge_eps)
+    state.encoded = None
 
 
 def update_decoder(model, tset, state, config):
@@ -473,7 +448,7 @@ def update_decoder(model, tset, state, config):
     inverts it once) and the target left in the work array for a coupled P4.
     """
     target = state.decoder_target(tset)
-    model.w_dec = (target @ state.z.T) @ state.inverse_for("feature", state.z, config.ridge_eps)
+    model.w_dec = (target @ state.z.T) @ state.inverse("feature", state.z, config.ridge_eps)
 
 
 def update_latent(model, tset, state, config):
@@ -485,17 +460,17 @@ def update_latent(model, tset, state, config):
     with M = X_out - P + B1 and N = phi(W_enc X_in) + B2, which is the
     exact block minimizer of the relaxed objective over Z.  The Gram
     matrix changes every cycle, so it is solved, not inverted, and Z comes
-    back C-contiguous.  It computes phi(W_enc X_in) through the state,
-    where the residual pass finds it, and needs the state's B2 whatever
+    back C-contiguous.  It keeps phi(W_enc X_in) in the state, where the
+    relaxation update finds it, and needs the state's B2 whatever
     ``config.latent_update`` says.
     """
-    anchor = state.encoded_for(model, tset)
+    anchor = state.encoded = activate(model.w_enc @ tset.x_in)
     gram = config.lam * (model.w_dec.T @ model.w_dec)
     gram[np.diag_indices_from(gram)] += config.mu + config.ridge_eps
     rhs = config.lam * (model.w_dec.T @ state.decoder_target(tset))
     rhs += config.mu * (anchor + state.b2)
     state.z = np.linalg.solve(gram, rhs)
-    state.sources.pop("feature", None)  # it would keep the old Z alive
+    state.inverses.pop("feature", None)
 
 
 def update_relaxation(model, tset, state, config):
@@ -512,7 +487,7 @@ def update_relaxation(model, tset, state, config):
     share of ||B1||^2; C1 and B1^2 are slab-sized temporaries.  C2 and B2
     are whole h x N arrays.  Returns ||B1||^2, the objective's lam term.
     """
-    gap = np.matmul(model.w_dec, state.z, out=state.scratch())
+    gap = np.matmul(model.w_dec, state.z, out=state.scratch("gap"))
     p, b1, x_out = state.p, state.b1, tset.x_out
     reflective = config.bregman_update == "reflective"
 
@@ -526,9 +501,10 @@ def update_relaxation(model, tset, state, config):
         return float(np.multiply(b, b, out=c1).sum())
 
     b1_sq = _over_slabs(slab, b1.shape)
-    state.sources["gap"] = (x_out, model.w_dec, state.z)
     if state.b2 is not None:
-        relax(state.z - state.encoded_for(model, tset), state.b2)
+        if state.encoded is None:
+            state.encoded = activate(model.w_enc @ tset.x_in)
+        relax(state.z - state.encoded, state.b2)
     return b1_sq
 
 
@@ -574,20 +550,16 @@ def _initial_weights(d, config):
 
 
 def _initial_state(model, tset, config):
-    """The state a run starts from: Z is the state's own phi(W_enc X_in)
-    (an anchored run's fixed features), B1 = 0, and B2 = 0 in coupled runs
-    only.  P is allocated but not set, since P1 writes it before anything
-    reads it."""
-    state = SplitBregmanState(
+    """The state a run starts from: Z = phi(W_enc X_in) (an anchored run's
+    fixed features), B1 = 0, and B2 = 0 in coupled runs only.  P is
+    allocated but not set, since P1 writes it before anything reads it."""
+    z = activate(model.w_enc @ tset.x_in)
+    return SplitBregmanState(
         p=np.empty_like(tset.x_out),
-        z=None,
+        z=z,
         b1=np.zeros_like(tset.x_out),
-        b2=None,
+        b2=np.zeros_like(z) if config.latent_update == "coupled" else None,
     )
-    state.z = state.encoded_for(model, tset)
-    if config.latent_update == "coupled":
-        state.b2 = np.zeros_like(state.z)
-    return state
 
 
 def _window_converged(history, rel_tol, window=5):
@@ -619,9 +591,8 @@ def train_robust(tset: TrainingSet, config: TrainConfig):
         if _window_converged(state.objective_history, config.rel_tol):
             break
     # the d x N scratch and the (d+1)^2 inverse stay with the trainer
-    state.work = None
+    state.work = state.holds = None
     state.inverses.clear()
-    state.sources.clear()
     return model, state
 
 

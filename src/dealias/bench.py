@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 from .autoencoder import train_l2_baseline, train_robust
 from .config import RunConfig, degradation_spec, sparsifying_transform, train_config
-from .core import SeededRng, atomic_write_bytes, random_phantom, read_tensor, write_tensor
+from .core import (
+    SeededRng,
+    atomic_write_bytes,
+    ensure_image,
+    random_phantom,
+    read_tensor,
+    write_tensor,
+)
 from .cs import cs_reconstruct_image
 from .metrics import METRICS, MetricReport, MetricRow, nmse, psnr, ssim
 from .pipeline import (
@@ -96,11 +103,17 @@ def run_benchmark(config: RunConfig, outdir) -> BenchResult:
     if config["timing_reps"] < 1:
         raise ValueError("timing_reps must be at least 1")
     train_entries, test_entries = _corpus_split(config, outdir)
-    if spec.modality == "mri" and not config["train_manifest"]:
-        # a procedural corpus's image size is known: fit the FFT and ISTA to it
-        size = (config["corpus_size"],) * 2
-        require_pow2_grid(size)
-        transform.check_shape(size)
+    use_ista = spec.modality == "mri"
+    if use_ista:
+        # fit the FFT and ISTA to every test image: a procedural corpus's
+        # size is known, a manifest's images are read
+        if config["train_manifest"]:
+            shapes = [ensure_image(read_tensor(path)).shape for path, _ in test_entries]
+        else:
+            shapes = [(config["corpus_size"],) * 2]
+        for shape in shapes:
+            require_pow2_grid(shape)
+            transform.check_shape(shape)
     os.makedirs(outdir, exist_ok=True)
     _ensure_corpus(config, train_entries + test_entries)
 
@@ -110,7 +123,6 @@ def run_benchmark(config: RunConfig, outdir) -> BenchResult:
     l2_model, l2_seconds = _timed(train_l2_baseline, tset, tconf)
     (robust_model, _), robust_seconds = _timed(train_robust, tset, tconf)
 
-    use_ista = spec.modality == "mri"
     reports = {m: MetricReport(rows=[]) for m in METHODS if use_ista or m != "ista"}
 
     last_clean = last_degraded = None

@@ -245,16 +245,17 @@ def write_tensor(path, tensor) -> None:
     axis, then the float32 little-endian row-major payload.
     """
     arr = np.ascontiguousarray(np.asarray(tensor, dtype=np.float64))
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("tensor values must be finite")
+    with np.errstate(over="ignore"):
+        stored = arr.astype("<f4")
+    if not np.all(np.isfinite(stored)):  # also what float32 cannot hold
+        raise ValueError("tensor values must be finite in float32")
     if arr.ndim > 255:
         raise FormatError("rank exceeds uint8")
     if any(d >= 2 ** 32 for d in arr.shape):
         raise FormatError("dimension exceeds uint32")
     header = RDT_MAGIC + bytes([arr.ndim])
     header += b"".join(int(d).to_bytes(4, "little") for d in arr.shape)
-    payload = arr.astype("<f4").tobytes(order="C")
-    atomic_write_bytes(path, header + payload)
+    atomic_write_bytes(path, header + stored.tobytes(order="C"))
 
 
 def read_tensor(path) -> np.ndarray:

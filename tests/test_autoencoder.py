@@ -1,7 +1,7 @@
 """Robust trainer internals: the activation, exact block solves, training loops."""
 
 import hashlib
-import operator
+import itertools
 import os
 import subprocess
 import sys
@@ -43,12 +43,22 @@ def toy_training_set(dim=16, count=64, seed=0):
 
 
 def fresh_state(model, tset, config):
-    """The state train_robust starts from (anchored: no B2, and Z is the
-    state's own phi(W_enc X_in)), with P set to X_out - W_dec Z so that
-    the objective is defined before the first P1."""
+    """The state train_robust starts from (anchored: no B2), with P set to
+    X_out - W_dec Z so that the objective is defined before the first P1."""
     state = _initial_state(model, tset, config)
-    np.copyto(state.p, state.gap_for(model, tset))
+    np.subtract(tset.x_out, model.w_dec @ state.z, out=state.p)
     return state
+
+
+def rebuilt(model, state):
+    """Copies of the weights, and a state built from copies of P, Z, B1
+    and B2: it has no work array, tag, inverses or phi(W_enc X_in)."""
+    model = d.AutoencoderModel(model.w_enc.copy(), model.w_dec.copy())
+    state = SplitBregmanState(
+        p=state.p.copy(), z=state.z.copy(), b1=state.b1.copy(),
+        b2=None if state.b2 is None else state.b2.copy(),
+    )
+    return model, state
 
 
 def record_gram_inverses(monkeypatch):
@@ -508,15 +518,16 @@ def state_bytes(model, state):
 
 
 def written_state(state):
-    """The bytes of P, Z, B1, B2 and the work array, and a copy of the
-    kept products' sources (compared by identity)."""
+    """The bytes of P, Z, B1, B2 and the work array, the work array's tag,
+    and phi(W_enc X_in) and the kept inverses by name (compared by identity)."""
     arrays = (state.p, state.z, state.b1, state.b2, state.work)
-    return [None if a is None else a.tobytes() for a in arrays], dict(state.sources)
+    kept = dict(state.inverses, encoded=state.encoded)
+    return [None if a is None else a.tobytes() for a in arrays], state.holds, kept
 
 
 class TestCycleBuffers:
-    """The cycle works in the state's own arrays and reuses kept products
-    only while the arrays they came from are current."""
+    """The cycle works in the state's own arrays and hands its products
+    down in cycle order; a block forms an input it does not find."""
 
     @VARIANTS
     def test_cycle_allocates_no_dxn_temporaries(self, latent, bregman):
@@ -590,14 +601,11 @@ class TestCycleBuffers:
                 before = written_state(state)
                 objectives.append(penalty_objective(model, tset, state, config))
                 after = written_state(state)
-                assert after[0] == before[0]
-                assert after[1].keys() == before[1].keys()
-                for name, kept in before[1].items():
-                    assert all(map(operator.is_, after[1][name], kept)), name
-                fresh = SplitBregmanState(
-                    p=state.p.copy(), z=state.z.copy(), b1=state.b1.copy(),
-                    b2=None if state.b2 is None else state.b2.copy(),
-                )
+                assert after[:2] == before[:2]
+                assert after[2].keys() == before[2].keys()
+                for name, kept in before[2].items():
+                    assert after[2][name] is kept, name
+                _, fresh = rebuilt(model, state)
                 assert penalty_objective(model, tset, fresh, config) == objectives[-1]
                 return result
 
@@ -625,9 +633,35 @@ class TestCycleBuffers:
             tracemalloc.stop()
         assert peak < bound * dim * count * 8
 
+    @VARIANTS
+    def test_rebuilt_state_continues_bitwise(self, latent, bregman):
+        # a caller that replaces an array builds a new state from the arrays;
+        # built from copies after 3 cycles, it continues with the run's bits
+        config = d.TrainConfig(
+            hidden=8, lam=1.0, mu=1.0, bregman_update=bregman, latent_update=latent
+        )
+        tset = toy_training_set(dim=16, count=24, seed=3)
+        model = _initial_weights(16, config)
+        state = fresh_state(model, tset, config)
+        for _ in range(3):
+            split_bregman_step(model, tset, state, config)
+        copied, rebuilt_state = rebuilt(model, state)
+        assert rebuilt_state.work is None and rebuilt_state.holds is None
+        assert not rebuilt_state.inverses and rebuilt_state.encoded is None
+        assert penalty_objective(model, tset, state, config) == penalty_objective(
+            copied, tset, rebuilt_state, config
+        )
+        for _ in range(2):
+            split_bregman_step(model, tset, state, config)
+            split_bregman_step(copied, tset, rebuilt_state, config)
+        assert state.objective_history[-2:] == rebuilt_state.objective_history
+        assert state_bytes(model, state) == state_bytes(copied, rebuilt_state)
+
     @pytest.mark.parametrize("replaced", ["w_dec", "w_enc", "z"])
     @VARIANTS
     def test_replaced_array_matches_fresh_state(self, latent, bregman, replaced):
+        # after a replacement the caller builds a new state over the run's
+        # own arrays; it matches a state built from copies, bit for bit
         config = d.TrainConfig(
             hidden=8, lam=1.0, mu=1.0, bregman_update=bregman, latent_update=latent
         )
@@ -638,23 +672,35 @@ class TestCycleBuffers:
             split_bregman_step(model, tset, state, config)
         owner = state if replaced == "z" else model
         setattr(owner, replaced, getattr(owner, replaced) * 1.01)
-        fresh_model = d.AutoencoderModel(model.w_enc.copy(), model.w_dec.copy())
-        fresh = SplitBregmanState(
-            p=state.p.copy(), z=state.z.copy(), b1=state.b1.copy(),
-            b2=None if state.b2 is None else state.b2.copy(),
-        )
-        if state.z is state.encoded and state.computed_from("encoded", tset.x_in, model.w_enc):
-            # an anchored Z that is still phi(W_enc X_in): share it as train_robust does
-            fresh.z = fresh.encoded_for(fresh_model, tset)
-            assert fresh.z.tobytes() == state.z.tobytes()
+        state = SplitBregmanState(p=state.p, z=state.z, b1=state.b1, b2=state.b2)
+        fresh_model, fresh = rebuilt(model, state)
         assert penalty_objective(model, tset, state, config) == penalty_objective(
             fresh_model, tset, fresh, config
         )
         for _ in range(2):
             split_bregman_step(model, tset, state, config)
             split_bregman_step(fresh_model, tset, fresh, config)
-        assert state.objective_history[-2:] == fresh.objective_history
+        assert state.objective_history == fresh.objective_history
         assert state_bytes(model, state) == state_bytes(fresh_model, fresh)
+
+    @VARIANTS
+    def test_any_block_order_matches_rebuilt_states_bitwise(self, latent, bregman):
+        # after every ordered pair of blocks, run back to back: the products
+        # the state kept are still right, and a state rebuilt before each
+        # block forms the ones it lacks with the same bits
+        config = d.TrainConfig(
+            hidden=8, lam=1.0, mu=1.0, bregman_update=bregman, latent_update=latent
+        )
+        tset = toy_training_set(dim=16, count=24, seed=3)
+        model = _initial_weights(16, config)
+        state = fresh_state(model, tset, config)
+        split_bregman_step(model, tset, state, config)
+        blocks = (ANCHORED_BLOCKS if state.b2 is None else COUPLED_BLOCKS) + (update_relaxation,)
+        for block in [block for pair in itertools.product(blocks, repeat=2) for block in pair]:
+            copied, rebuilt_state = rebuilt(model, state)
+            block(model, tset, state, config)
+            block(copied, tset, rebuilt_state, config)
+            assert state_bytes(model, state) == state_bytes(copied, rebuilt_state), block.__name__
 
     @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
     def test_non_finite_objective_raises_at_its_iteration(self, bregman):

@@ -407,6 +407,31 @@ class TestBench:
         assert command_dispatch(argv) == 2
         assert not out.exists()
 
+    def test_manifest_image_off_the_fft_grid_fails_before_any_work(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 96 x 96 MRI images with their degraded copies given: ISTA's FFT
+        # needs powers of two, which is checked before training
+        from dealias import bench
+
+        monkeypatch.setattr(bench, "build_training_set", pytest.fail)
+        lines = []
+        for i in range(4):
+            image = d.random_phantom(96, d.SeededRng(i))
+            write_tensor(tmp_path / f"c{i}.rdt", image)
+            write_tensor(tmp_path / f"g{i}.rdt", image)
+            lines.append(f"c{i}.rdt g{i}.rdt\n")
+        (tmp_path / "train.txt").write_text("".join(lines[:3]))
+        (tmp_path / "test.txt").write_text(lines[3])
+        out = tmp_path / "out"
+        argv = bench_args(tmp_path, out) + [
+            "--set", f"train_manifest={tmp_path / 'train.txt'}",
+            "--set", f"test_manifest={tmp_path / 'test.txt'}",
+        ]
+        assert command_dispatch(argv) == 2
+        assert "powers of two" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_comment_character_in_setting_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         argv = bench_args(tmp_path, out) + ["--set", "corpus_dir=a#1"]

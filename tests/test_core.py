@@ -172,8 +172,12 @@ class TestTensorIO:
             read_tensor(path)
 
     def test_non_finite_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_tensor(tmp_path / "nan.rdt", np.array([1.0, np.nan]))
+        # 1e39 is finite in float64 but overflows the float32 payload
+        for values in (np.array([1.0, np.nan]), [[1e39, 1.0]]):
+            path = tmp_path / "bad.rdt"
+            with pytest.raises(ValueError):
+                write_tensor(path, values)
+            assert not path.exists()
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "h.rdt"
