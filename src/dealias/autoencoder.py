@@ -12,10 +12,10 @@ and relaxation variables B1/B2, and cycles four exact block solves:
 
 followed by the relaxation update B <- R ("reflective") or B <- -R
 ("additive"), where R = C - B are the penalized (relaxed) residuals of the
-two coupling constraints: the ``coupled`` trainer.  The ``anchored`` one
-freezes Z at the random features F = phi(W_0 X_in) of the seeded initial
-encoder, so it has no B2, P2, P4 or mu term, and cycles P1, P3 (F F^T + eps I
-inverted once) and the B1 update: scaled ADMM for one least-absolute-deviation
+two coupling constraints: the ``coupled`` trainer.  The ``anchored`` one,
+:func:`fit_l1_decoder`, freezes Z at the random features F = phi(W_0 X_in)
+of the seeded initial encoder and cycles P1, P3 (F F^T + eps I inverted
+once) and the B1 update: scaled ADMM for one least-absolute-deviation
 regression per output pixel (Boyd et al. 2011, section 6.1).  An l2
 gradient-descent trainer with the same architecture is the non-robust baseline.
 """
@@ -38,9 +38,9 @@ from .core import (
     NumericFailure,
     SeededRng,
     atomic_write_bytes,
+    encode_tensor,
     read_tensor,
     require_integer,
-    write_tensor,
 )
 
 BREGMAN_UPDATES = ("reflective", "additive")
@@ -265,34 +265,27 @@ class SplitBregmanState:
     no settings: the blocks and the objective read them from the
     ``TrainConfig`` they are passed.
 
-    ``b2`` is None in anchored runs: their Z is the fixed phi(W_0 X_in), so
-    the second constraint holds exactly.  The cycle then runs no P2 or P4,
-    and leaves C2, R2 and the mu term out.
-
-    The trainer owns these arrays and updates P, B1 and B2 in place.  The
-    blocks hand products down in cycle order, P1 -> (P2) -> P3 -> (P4) ->
+    The state :func:`fit_l1_decoder` returns has Z = F and no B2, since
+    its second constraint holds exactly.  The blocks serve the coupled
+    trainer, which owns these arrays and updates P, B1 and B2 in place.
+    They hand products down in cycle order, P1 -> P2 -> P3 -> P4 ->
     relaxation update, and a block forms a product it does not find:
 
     - ``work``, the one d x N scratch array of the cycle, holds what
       ``holds`` names: ``"gap"`` = X_out - W_dec Z, which the relaxation
       update forms and the next cycle's P1 reads, or ``"target"``, the
       decoder target X_out - P + B1 that P1 writes over the gap and P3 and
-      a coupled P4 read through :meth:`decoder_target`;
+      P4 read through :meth:`decoder_target`;
     - ``encoded`` = phi(W_enc X_in), formed by P4 and read by the
       relaxation update; P2 drops it with the W_enc it came from;
-    - ``inverses``, the inverses (A A^T + eps I)^-1 that the ridge blocks
-      multiply by, formed on first use: ``"input"`` (A = X_in) for P2, and
-      ``"feature"`` (A = Z) for P3, which a coupled P4 drops with its Z.
+    - ``input_inverse`` = (X_in X_in^T + eps I)^-1, formed by P2 on first use.
 
     Any sequence of blocks keeps these right, since each block drops or
     rewrites what its own writes invalidate.  A caller that replaces an
     array mid-run builds a new state from the arrays, which forms the
-    products afresh.  The cycle keeps no sums: P1 and the relaxation
-    update return ||P||_1 and ||B1||^2, added slab by slab (see
-    :func:`_over_slabs`), and :func:`split_bregman_step` forms the
-    objective from them.  :func:`penalty_objective` only reads the state.
-    ``work`` is allocated on first use, and :func:`train_robust` lets it
-    and ``inverses`` go when it returns.
+    products afresh.  The state keeps no sums, and :func:`penalty_objective`
+    only reads it.  ``work`` is allocated on first use, and
+    :func:`train_robust` lets it and ``input_inverse`` go when it returns.
     """
 
     p: np.ndarray
@@ -302,7 +295,7 @@ class SplitBregmanState:
     iteration: int = 0
     objective_history: list = field(default_factory=list)
     encoded: np.ndarray | None = field(default=None, repr=False)
-    inverses: dict = field(default_factory=dict, repr=False)
+    input_inverse: np.ndarray | None = field(default=None, repr=False)
     work: np.ndarray | None = field(default=None, repr=False)
     holds: str | None = field(default=None, repr=False)
 
@@ -312,12 +305,6 @@ class SplitBregmanState:
             self.work = np.empty_like(self.p)
         self.holds = holds
         return self.work
-
-    def inverse(self, name, a, ridge_eps):
-        """(a a^T + eps I)^-1, kept as ``inverses[name]``."""
-        if name not in self.inverses:
-            self.inverses[name] = _gram_inverse(a, ridge_eps)
-        return self.inverses[name]
 
     def decoder_target(self, tset):
         """X_out - P + B1, built in the work array unless it is there."""
@@ -399,24 +386,13 @@ def objective_l1(model, tset) -> float:
     return float(np.abs(tset.x_out - model.forward(tset.inputs)).sum())
 
 
-def update_sparse_residual(model, tset, state, config):
-    """P1: exact prox step, soft thresholding at tau = 1/(2 lam), into P,
-    fused with the decoder target X_out - P + B1 of P3.
-
-    One pass over the row slabs: v = gap + B1 replaces the gap in the
-    work array and max(|v| - tau, 0) is formed in P, whose sum is the
-    slab's share of ||P||_1 exactly, so it is taken before the sign of v
-    is applied.  The target then replaces v, and the state keeps it.  A
-    state that does not hold the gap forms it first: W_dec Z, then
-    subtracted from X_out in place.  Returns ||P||_1, the sum of the slab
-    shares in slab order.
+def sparse_residual_pass(work, p, b1, x_out, lam):
+    """P1's pass over the row slabs, in both trainers: v = gap + B1 replaces
+    the gap X_out - W_dec Z in ``work``, P = soft(v, 1/(2 lam)), whose
+    ||P||_1 is summed before the sign of v is applied, and the decoder
+    target X_out - P + B1 replaces v.  Returns ||P||_1, added in slab order.
     """
-    if state.holds != "gap":
-        gap = np.matmul(model.w_dec, state.z, out=state.scratch("gap"))
-        np.subtract(tset.x_out, gap, out=gap)
-    work = state.scratch("target")
-    p, b1, x_out = state.p, state.b1, tset.x_out
-    tau = 1.0 / (2.0 * config.lam)
+    tau = 1.0 / (2.0 * lam)
 
     def slab(rows):
         v = np.add(work[rows], b1[rows], out=work[rows])
@@ -432,28 +408,67 @@ def update_sparse_residual(model, tset, state, config):
     return _over_slabs(slab, p.shape)
 
 
+def relaxation_pass(gap, p, b1, x_out, bregman_update):
+    """The B1 update's pass over the row slabs, in both trainers: the gap
+    X_out - W_dec Z replaces W_dec Z in ``gap`` (for the next P1), then
+    C1 = P - gap in a slab-sized temporary and :func:`_relax`.  Returns
+    ||B1||^2, the objective's lam term, added in slab order.
+    """
+
+    def slab(rows):
+        np.subtract(x_out[rows], gap[rows], out=gap[rows])
+        c1 = np.subtract(p[rows], gap[rows])
+        b = _relax(c1, b1[rows], bregman_update)
+        return float(np.multiply(b, b, out=c1).sum())
+
+    return _over_slabs(slab, b1.shape)
+
+
+def _relax(c, b, bregman_update):
+    """B <- C - B = R ("reflective") or B <- B - C = -R ("additive"), in
+    place; B - C (not -R) keeps exact zeros positive."""
+    return np.subtract(c, b, out=b) if bregman_update == "reflective" else np.subtract(b, c, out=b)
+
+
+def _record(state, objective, *weights):
+    """Append a cycle's objective once it and ``weights`` are finite."""
+    if not (np.isfinite(objective) and all(np.all(np.isfinite(w)) for w in weights)):
+        raise NumericFailure(f"non-finite update at iteration {state.iteration}")
+    state.iteration += 1
+    state.objective_history.append(objective)
+
+
+def update_sparse_residual(model, tset, state, config):
+    """P1: the exact prox step :func:`sparse_residual_pass`, after which the
+    state holds the decoder target.  A state that does not hold the gap
+    forms it first, W_dec Z subtracted from X_out in place.  Returns ||P||_1.
+    """
+    if state.holds != "gap":
+        gap = np.matmul(model.w_dec, state.z, out=state.scratch("gap"))
+        np.subtract(tset.x_out, gap, out=gap)
+    return sparse_residual_pass(state.scratch("target"), state.p, state.b1, tset.x_out, config.lam)
+
+
 def update_encoder(model, tset, state, config):
-    """P2 (coupled runs): W_enc = phi^-1(Z - B2) X_in^T (G + eps I)^-1 with
-    G = X_in X_in^T, whose (iteration invariant) inverse the state keeps.
-    It drops the state's phi(W_enc X_in), which the old W_enc gave.
+    """P2: W_enc = phi^-1(Z - B2) X_in^T (G + eps I)^-1 with G = X_in X_in^T,
+    whose (iteration invariant) inverse the state keeps.  It drops the
+    state's phi(W_enc X_in), which the old W_enc gave.
     """
     target = activate(state.z - state.b2, "inverse")
-    model.w_enc = (target @ tset.x_in.T) @ state.inverse("input", tset.x_in, config.ridge_eps)
+    if state.input_inverse is None:
+        state.input_inverse = _gram_inverse(tset.x_in, config.ridge_eps)
+    model.w_enc = (target @ tset.x_in.T) @ state.input_inverse
     state.encoded = None
 
 
 def update_decoder(model, tset, state, config):
-    """P3: ``solve_ridge_least_squares(Z, X_out - P + B1, eps)`` bit for bit,
-    with the inverse of Z Z^T + eps I kept by the state (an anchored run
-    inverts it once) and the target left in the work array for a coupled P4.
-    """
-    target = state.decoder_target(tset)
-    model.w_dec = (target @ state.z.T) @ state.inverse("feature", state.z, config.ridge_eps)
+    """P3: ``solve_ridge_least_squares(Z, X_out - P + B1, eps)``, with the
+    target left in the work array for P4."""
+    model.w_dec = solve_ridge_least_squares(state.z, state.decoder_target(tset), config.ridge_eps)
 
 
 def update_latent(model, tset, state, config):
-    """P4 (coupled runs): the latent code solve that minimizes both penalty
-    terms jointly,
+    """P4: the latent code solve that minimizes both penalty terms jointly,
 
         (lam W_dec^T W_dec + (mu + eps) I) Z = lam W_dec^T M + mu N
 
@@ -470,76 +485,60 @@ def update_latent(model, tset, state, config):
     rhs = config.lam * (model.w_dec.T @ state.decoder_target(tset))
     rhs += config.mu * (anchor + state.b2)
     state.z = np.linalg.solve(gram, rhs)
-    state.inverses.pop("feature", None)
 
 
 def update_relaxation(model, tset, state, config):
-    """Relaxation-variable update closing one cycle: B <- R ("reflective")
-    or B <- -R ("additive").  With R = C - B the relaxed residuals of the
-    coupling constraints C1 = P - (X_out - W_dec Z) and
-    C2 = Z - phi(W_enc X_in), these are B <- C - B and the running sum
-    B <- B - C, written into B in place; B - C (not -R) keeps exact zeros
-    positive.  A state without B2 updates B1 only.
-
-    B1 is updated in one pass over the row slabs, after the whole-matrix
-    product W_dec Z in the work array: gap = X_out - W_dec Z in place
-    (kept for the next P1), then C1 = P - gap, the update, and the slab's
-    share of ||B1||^2; C1 and B1^2 are slab-sized temporaries.  C2 and B2
-    are whole h x N arrays.  Returns ||B1||^2, the objective's lam term.
+    """Relaxation-variable update closing one cycle, B <- R or -R (see
+    :func:`_relax`) for C1 = P - (X_out - W_dec Z) and C2 = Z - phi(W_enc X_in):
+    :func:`relaxation_pass` after the product W_dec Z in the work array,
+    which then holds the gap, and B2 on whole h x N arrays.  Returns ||B1||^2.
     """
     gap = np.matmul(model.w_dec, state.z, out=state.scratch("gap"))
-    p, b1, x_out = state.p, state.b1, tset.x_out
-    reflective = config.bregman_update == "reflective"
-
-    def relax(c, b):
-        return np.subtract(c, b, out=b) if reflective else np.subtract(b, c, out=b)
-
-    def slab(rows):
-        np.subtract(x_out[rows], gap[rows], out=gap[rows])
-        c1 = np.subtract(p[rows], gap[rows])
-        b = relax(c1, b1[rows])
-        return float(np.multiply(b, b, out=c1).sum())
-
-    b1_sq = _over_slabs(slab, b1.shape)
-    if state.b2 is not None:
-        if state.encoded is None:
-            state.encoded = activate(model.w_enc @ tset.x_in)
-        relax(state.z - state.encoded, state.b2)
+    b1_sq = relaxation_pass(gap, state.p, state.b1, tset.x_out, config.bregman_update)
+    if state.encoded is None:
+        state.encoded = activate(model.w_enc @ tset.x_in)
+    _relax(state.z - state.encoded, state.b2, config.bregman_update)
     return b1_sq
 
 
 def split_bregman_step(model, tset, state, config):
-    """One training cycle: P1 -> P2 -> P3 -> P4 with B2 (coupled), P1 -> P3
-    without (anchored: Z and W_enc stay fixed), then relaxation update.
+    """One coupled training cycle: P1 -> P2 -> P3 -> P4 -> relaxation update.
 
-    The constraint residuals are evaluated once, after the last block, and
-    update the relaxation variables the cycle was solved with.  B is then
-    R or -R, so the objective appended to ``state.objective_history``, the
-    :func:`penalty_objective` of the state the relaxation update found,
-    is summed by the two slab passes: ||P||_1 by P1 and ||B1||^2 by the
-    relaxation update, plus the mu term from B2 in coupled runs.
-    Returns the mutated (model, state) pair.
+    The relaxation update leaves B = R or -R, so the objective appended
+    to ``state.objective_history``, the :func:`penalty_objective` of the
+    state the relaxation update found, is ||P||_1 from P1, ||B1||^2 from
+    the relaxation update and the mu term from B2.  Returns (model, state).
     """
-    coupled = state.b2 is not None
     p_l1 = update_sparse_residual(model, tset, state, config)
-    if coupled:
-        update_encoder(model, tset, state, config)
+    update_encoder(model, tset, state, config)
     update_decoder(model, tset, state, config)
-    if coupled:
-        update_latent(model, tset, state, config)
+    update_latent(model, tset, state, config)
     b1_sq = update_relaxation(model, tset, state, config)
-    objective = p_l1 + config.lam * b1_sq
-    if coupled:
-        objective += config.mu * float((state.b2 * state.b2).sum())
-    if not (
-        np.isfinite(objective)
-        and np.all(np.isfinite(model.w_enc))
-        and np.all(np.isfinite(model.w_dec))
-    ):
-        raise NumericFailure(f"non-finite update at iteration {state.iteration}")
-    state.iteration += 1
-    state.objective_history.append(objective)
+    objective = p_l1 + config.lam * b1_sq + config.mu * float((state.b2 * state.b2).sum())
+    _record(state, objective, model.w_enc, model.w_dec)
     return model, state
+
+
+def fit_l1_decoder(features, targets, w_dec, config):
+    """The anchored trainer: the l1 fit of a decoder on fixed h x N
+    features F, from ``w_dec``.  It inverts F F^T + eps I once, then cycles
+    P1, P3 against that inverse and the B1 update in one d x N work array,
+    recording ||P||_1 + lam ||B1||^2, under :func:`train_robust`'s stopping
+    rule.  Returns the decoder and a state with Z = F and no B2.
+    """
+    state = SplitBregmanState(np.empty_like(targets), features, np.zeros_like(targets), None)
+    work = np.matmul(w_dec, features)
+    np.subtract(targets, work, out=work)
+    inverse = _gram_inverse(features, config.ridge_eps)
+    for _ in range(config.max_iter):
+        p_l1 = sparse_residual_pass(work, state.p, state.b1, targets, config.lam)
+        w_dec = (work @ features.T) @ inverse
+        np.matmul(w_dec, features, out=work)
+        b1_sq = relaxation_pass(work, state.p, state.b1, targets, config.bregman_update)
+        _record(state, p_l1 + config.lam * b1_sq, w_dec)
+        if _window_converged(state.objective_history, config.rel_tol):
+            break
+    return w_dec, state
 
 
 def _initial_weights(d, config):
@@ -547,19 +546,6 @@ def _initial_weights(d, config):
     w_enc = rng.normal((config.hidden, d + 1)) / np.sqrt(d + 1)
     w_dec = rng.normal((d, config.hidden)) / np.sqrt(config.hidden)
     return AutoencoderModel(w_enc, w_dec)
-
-
-def _initial_state(model, tset, config):
-    """The state a run starts from: Z = phi(W_enc X_in) (an anchored run's
-    fixed features), B1 = 0, and B2 = 0 in coupled runs only.  P is
-    allocated but not set, since P1 writes it before anything reads it."""
-    z = activate(model.w_enc @ tset.x_in)
-    return SplitBregmanState(
-        p=np.empty_like(tset.x_out),
-        z=z,
-        b1=np.zeros_like(tset.x_out),
-        b2=np.zeros_like(z) if config.latent_update == "coupled" else None,
-    )
 
 
 def _window_converged(history, rel_tol, window=5):
@@ -576,23 +562,28 @@ def _window_converged(history, rel_tol, window=5):
 def train_robust(tset: TrainingSet, config: TrainConfig):
     """Train the l1-cost autoencoder.
 
-    Initializes weights from seeded Gaussians scaled by 1/sqrt(fan-in)
-    and the state by :func:`_initial_state`, then iterates
+    Initializes weights from seeded Gaussians scaled by 1/sqrt(fan-in).
+    An anchored run fits the decoder on F = phi(W_0 X_in) by
+    :func:`fit_l1_decoder`.  A coupled run starts from Z = F, B1 = 0 and
+    B2 = 0 (P1 writes P before anything reads it) and iterates
     :func:`split_bregman_step` until the relative objective change stays
     below ``rel_tol`` across a window of five objective values or
     ``max_iter`` cycles are done.  Returns the trained model together with
     the final solver state.
     """
-    d = tset.x_out.shape[0]
-    model = _initial_weights(d, config)
-    state = _initial_state(model, tset, config)
+    model = _initial_weights(tset.x_out.shape[0], config)
+    z = activate(model.w_enc @ tset.x_in)
+    if config.latent_update == "anchored":
+        model.w_dec, state = fit_l1_decoder(z, tset.x_out, model.w_dec, config)
+        return model, state
+    x_out = tset.x_out
+    state = SplitBregmanState(np.empty_like(x_out), z, np.zeros_like(x_out), np.zeros_like(z))
     for _ in range(config.max_iter):
         split_bregman_step(model, tset, state, config)
         if _window_converged(state.objective_history, config.rel_tol):
             break
     # the d x N scratch and the (d+1)^2 inverse stay with the trainer
-    state.work = state.holds = None
-    state.inverses.clear()
+    state.work = state.holds = state.input_inverse = None
     return model, state
 
 
@@ -692,22 +683,29 @@ _FORMAT_VERSION = "1"
 
 
 def save_model(model: AutoencoderModel, path) -> None:
-    """Persist a model bundle: manifest.txt + w_enc.rdt + w_dec.rdt."""
-    os.makedirs(path, exist_ok=True)
+    """Persist a model bundle: manifest.txt + w_enc.rdt + w_dec.rdt.  Both
+    tensors are encoded and checked before any file is written, so a
+    failed save leaves an existing bundle as it was."""
     manifest = (
         "activation=tanh\n"
         f"d={model.input_dim}\n"
         f"hidden={model.hidden}\n"
         f"format_version={_FORMAT_VERSION}\n"
     )
-    atomic_write_bytes(os.path.join(path, "manifest.txt"), manifest.encode("ascii"))
-    write_tensor(os.path.join(path, "w_enc.rdt"), model.w_enc)
-    write_tensor(os.path.join(path, "w_dec.rdt"), model.w_dec)
+    blobs = {
+        "manifest.txt": manifest.encode("ascii"),
+        "w_enc.rdt": encode_tensor(model.w_enc),
+        "w_dec.rdt": encode_tensor(model.w_dec),
+    }
+    os.makedirs(path, exist_ok=True)
+    for name, blob in blobs.items():
+        atomic_write_bytes(os.path.join(path, name), blob)
 
 
 def load_model(path) -> AutoencoderModel:
     """Load a model bundle; the manifest is authoritative for metadata, and
-    a bundle of any activation but tanh is refused."""
+    a bundle of any activation but tanh or any format version but
+    ``_FORMAT_VERSION`` is refused."""
     manifest_path = os.path.join(path, "manifest.txt")
     try:
         with open(manifest_path, "r", encoding="ascii") as fh:
@@ -719,14 +717,18 @@ def load_model(path) -> AutoencoderModel:
     required = {"activation", "d", "hidden", "format_version"}
     if set(pairs) != required:
         raise FormatError(f"manifest keys {sorted(pairs)} != {sorted(required)}")
-    if pairs["activation"] != "tanh":
-        raise FormatError(f"unsupported activation {pairs['activation']!r} in {manifest_path}")
+    for key, supported in (("activation", "tanh"), ("format_version", _FORMAT_VERSION)):
+        if pairs[key] != supported:
+            raise FormatError(f"unsupported {key} {pairs[key]!r} in {manifest_path}")
+    try:
+        d, hidden = int(pairs["d"]), int(pairs["hidden"])
+    except ValueError as exc:
+        raise FormatError(f"non-integer d or hidden in {manifest_path}: {exc}") from exc
     try:
         w_enc = read_tensor(os.path.join(path, "w_enc.rdt"))
         w_dec = read_tensor(os.path.join(path, "w_dec.rdt"))
     except OSError as exc:
         raise FormatError(f"missing model tensor in {path}: {exc}") from exc
-    d, hidden = int(pairs["d"]), int(pairs["hidden"])
     if w_enc.shape != (hidden, d + 1) or w_dec.shape != (d, hidden):
         raise FormatError(
             f"tensor shapes {w_enc.shape}/{w_dec.shape} disagree with manifest "

@@ -239,7 +239,13 @@ def atomic_write_bytes(path, blob: bytes) -> None:
 
 
 def write_tensor(path, tensor) -> None:
-    """Persist an array in the RDT1 container.
+    """Persist an array in the RDT1 container (see :func:`encode_tensor`)."""
+    atomic_write_bytes(path, encode_tensor(tensor))
+
+
+def encode_tensor(tensor) -> bytes:
+    """An array as the bytes of an RDT1 container, checked before any file
+    is touched.
 
     Layout: 4-byte magic "RDT1", uint8 rank, one little-endian uint32 per
     axis, then the float32 little-endian row-major payload.
@@ -255,7 +261,7 @@ def write_tensor(path, tensor) -> None:
         raise FormatError("dimension exceeds uint32")
     header = RDT_MAGIC + bytes([arr.ndim])
     header += b"".join(int(d).to_bytes(4, "little") for d in arr.shape)
-    atomic_write_bytes(path, header + stored.tobytes(order="C"))
+    return header + stored.tobytes(order="C")
 
 
 def read_tensor(path) -> np.ndarray:

@@ -92,14 +92,6 @@ class SamplingMask:
         object.__setattr__(self, "selected", sel)
 
     @property
-    def height(self) -> int:
-        return self.selected.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.selected.shape[1]
-
-    @property
     def fraction(self) -> float:
         """Achieved sampling fraction, selected count over total, exact."""
         return int(self.selected.sum()) / self.selected.size

@@ -1,5 +1,6 @@
 """Robust trainer internals: the activation, exact block solves, training loops."""
 
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -19,9 +20,9 @@ from dealias.autoencoder import (
     LATENT_UPDATES,
     SplitBregmanState,
     _gram_inverse,
-    _initial_state,
     _initial_weights,
     activate,
+    fit_l1_decoder,
     l2_loss_and_grads,
     penalty_objective,
     soft_threshold,
@@ -42,21 +43,22 @@ def toy_training_set(dim=16, count=64, seed=0):
     return d.TrainingSet.from_arrays(values, values)
 
 
-def fresh_state(model, tset, config):
-    """The state train_robust starts from (anchored: no B2), with P set to
-    X_out - W_dec Z so that the objective is defined before the first P1."""
-    state = _initial_state(model, tset, config)
-    np.subtract(tset.x_out, model.w_dec @ state.z, out=state.p)
-    return state
+def fresh_state(model, tset):
+    """The state a coupled train_robust starts from, Z = phi(W_enc X_in),
+    B1 = 0 and B2 = 0, with P set to X_out - W_dec Z so that the objective
+    is defined before the first P1."""
+    z = activate(model.w_enc @ tset.x_in)
+    return SplitBregmanState(
+        p=tset.x_out - model.w_dec @ z, z=z, b1=np.zeros_like(tset.x_out), b2=np.zeros_like(z)
+    )
 
 
 def rebuilt(model, state):
     """Copies of the weights, and a state built from copies of P, Z, B1
-    and B2: it has no work array, tag, inverses or phi(W_enc X_in)."""
+    and B2: it has no work array, tag, input inverse or phi(W_enc X_in)."""
     model = d.AutoencoderModel(model.w_enc.copy(), model.w_dec.copy())
     state = SplitBregmanState(
-        p=state.p.copy(), z=state.z.copy(), b1=state.b1.copy(),
-        b2=None if state.b2 is None else state.b2.copy(),
+        p=state.p.copy(), z=state.z.copy(), b1=state.b1.copy(), b2=state.b2.copy()
     )
     return model, state
 
@@ -283,7 +285,7 @@ class TestSplitBregmanStep:
         config = d.TrainConfig(**settings)
         tset = toy_training_set(dim=dim, count=count, seed=1)
         model = _initial_weights(dim, config)
-        return model, tset, fresh_state(model, tset, config), config
+        return model, tset, fresh_state(model, tset), config
 
     def test_blocks_do_not_increase_own_subobjective(self):
         self._check_blocks_do_not_increase(*self._setup())
@@ -318,7 +320,7 @@ class TestSplitBregmanStep:
         model, tset, state, config = self._setup()
         tset16 = toy_training_set(dim=16, count=16, seed=0)
         model = _initial_weights(16, config)
-        state = fresh_state(model, tset16, config)
+        state = fresh_state(model, tset16)
         for _ in range(10):
             split_bregman_step(model, tset16, state, config)
         history = state.objective_history
@@ -400,34 +402,41 @@ SPLIT_STEP_HISTORY_SEED0 = [
 
 
 def unshared_cycle(model, tset, state, config):
-    """One cycle as written before the residuals were shared: the objective
-    and the relaxation update (B <- c - B, B <- B - c) each evaluate the
-    constraints themselves, and P3 is the plain ridge solve.  Without B2
-    (anchored) there is no P2 or P4, and the second constraint must hold
-    exactly and add nothing."""
-    coupled = state.b2 is not None
+    """One coupled cycle as written before the residuals were shared: the
+    objective and the relaxation update (B <- c - B, B <- B - c) each
+    evaluate the constraints themselves, and P3 is the plain ridge solve."""
     update_sparse_residual(model, tset, state, config)
-    if coupled:
-        update_encoder(model, tset, state, config)
+    update_encoder(model, tset, state, config)
     model.w_dec = solve_ridge_least_squares(
         state.z, tset.x_out - state.p + state.b1, config.ridge_eps
     )
-    if coupled:
-        update_latent(model, tset, state, config)
+    update_latent(model, tset, state, config)
     r1 = state.p - (tset.x_out - model.w_dec @ state.z) - state.b1
     objective = float(np.abs(state.p).sum()) + config.lam * float((r1 * r1).sum())
     c1 = state.p - (tset.x_out - model.w_dec @ state.z)
     c2 = state.z - activate(model.w_enc @ tset.x_in)
-    if state.b2 is None:
-        assert not c2.any()
-    else:
-        r2 = c2 - state.b2
-        objective += config.mu * float((r2 * r2).sum())
+    r2 = c2 - state.b2
+    objective += config.mu * float((r2 * r2).sum())
     state.objective_history.append(objective)
     for name, c in (("b1", c1), ("b2", c2)):
         b = getattr(state, name)
-        if b is not None:
-            setattr(state, name, c - b if config.bregman_update == "reflective" else b - c)
+        setattr(state, name, c - b if config.bregman_update == "reflective" else b - c)
+
+
+def reference_l1_fit(features, targets, w_dec, config):
+    """The anchored fit written out with nothing shared: plain soft
+    thresholding, the plain ridge solve, the objective summed over whole
+    arrays, and B1 <- c - B1 or B1 - c from the constraint c itself."""
+    b1 = np.zeros_like(targets)
+    history = []
+    for _ in range(config.max_iter):
+        p = soft_threshold(targets - w_dec @ features + b1, 1.0 / (2.0 * config.lam))
+        w_dec = solve_ridge_least_squares(features, targets - p + b1, config.ridge_eps)
+        c = p - (targets - w_dec @ features)
+        r = c - b1
+        history.append(float(np.abs(p).sum()) + config.lam * float((r * r).sum()))
+        b1 = c - b1 if config.bregman_update == "reflective" else b1 - c
+    return w_dec, p, b1, history
 
 
 # (dim, count, hidden) of the unshared-cycle comparison; the first keeps the
@@ -437,24 +446,21 @@ CYCLE_SHAPES = {"": (16, 16, 8), "-d64": (64, 700, 32)}
 
 class TestRelaxationIdentity:
     @pytest.mark.parametrize(
-        "latent, bregman, shape",
+        "bregman, shape",
         [
-            pytest.param(latent, bregman, shape, id=f"{latent}-{bregman}{suffix}")
+            pytest.param(bregman, shape, id=f"coupled-{bregman}{suffix}")
             for suffix, shape in CYCLE_SHAPES.items()
-            for latent in LATENT_UPDATES
             for bregman in BREGMAN_UPDATES
         ],
     )
-    def test_step_matches_unshared_cycle_bitwise(self, bregman, latent, shape):
+    def test_step_matches_unshared_cycle_bitwise(self, bregman, shape):
         dim, count, hidden = shape
-        config = d.TrainConfig(
-            hidden=hidden, lam=1.0, mu=1.0, bregman_update=bregman, latent_update=latent
-        )
+        config = d.TrainConfig(hidden=hidden, lam=1.0, mu=1.0, bregman_update=bregman)
         tset = toy_training_set(dim=dim, count=count, seed=0)
         runs = []
         for step in (split_bregman_step, unshared_cycle):
             model = _initial_weights(dim, config)
-            state = fresh_state(model, tset, config)
+            state = fresh_state(model, tset)
             for _ in range(10):
                 step(model, tset, state, config)
             runs.append((model, state))
@@ -504,11 +510,14 @@ ANCHORED_PINS = {
 
 # the blocks of one cycle, before the relaxation update
 COUPLED_BLOCKS = (update_sparse_residual, update_encoder, update_decoder, update_latent)
-ANCHORED_BLOCKS = (update_sparse_residual, update_decoder)
 
 VARIANTS = pytest.mark.parametrize(
     "latent, bregman",
     [(latent, bregman) for latent in LATENT_UPDATES for bregman in BREGMAN_UPDATES],
+)
+# the blocks serve the coupled trainer only; the ids keep the latent update
+COUPLED_VARIANTS = pytest.mark.parametrize(
+    "latent, bregman", [("coupled", bregman) for bregman in BREGMAN_UPDATES]
 )
 
 
@@ -519,9 +528,9 @@ def state_bytes(model, state):
 
 def written_state(state):
     """The bytes of P, Z, B1, B2 and the work array, the work array's tag,
-    and phi(W_enc X_in) and the kept inverses by name (compared by identity)."""
+    and the kept input inverse and phi(W_enc X_in) (compared by identity)."""
     arrays = (state.p, state.z, state.b1, state.b2, state.work)
-    kept = dict(state.inverses, encoded=state.encoded)
+    kept = (state.input_inverse, state.encoded)
     return [None if a is None else a.tobytes() for a in arrays], state.holds, kept
 
 
@@ -529,7 +538,7 @@ class TestCycleBuffers:
     """The cycle works in the state's own arrays and hands its products
     down in cycle order; a block forms an input it does not find."""
 
-    @VARIANTS
+    @COUPLED_VARIANTS
     def test_cycle_allocates_no_dxn_temporaries(self, latent, bregman):
         dim, count = 256, 4000
         config = d.TrainConfig(
@@ -537,7 +546,7 @@ class TestCycleBuffers:
         )
         tset = toy_training_set(dim=dim, count=count, seed=0)
         model = _initial_weights(dim, config)
-        state = fresh_state(model, tset, config)
+        state = fresh_state(model, tset)
         split_bregman_step(model, tset, state, config)  # warm-up
         tracemalloc.start()
         try:
@@ -547,7 +556,7 @@ class TestCycleBuffers:
             tracemalloc.stop()
         assert peak < dim * count * 8
 
-    @VARIANTS
+    @COUPLED_VARIANTS
     def test_blocks_one_at_a_time_match_cycle(self, latent, bregman):
         # criterion 2's sequence: the objective between blocks (here twice,
         # and both calls agree) must not disturb the cycle
@@ -558,13 +567,13 @@ class TestCycleBuffers:
         runs = []
         for one_at_a_time in (False, True):
             model = _initial_weights(16, config)
-            state = fresh_state(model, tset, config)
+            state = fresh_state(model, tset)
             objectives = []
             for _ in range(6):
                 if not one_at_a_time:
                     split_bregman_step(model, tset, state, config)
                     continue
-                for block in ANCHORED_BLOCKS if state.b2 is None else COUPLED_BLOCKS:
+                for block in COUPLED_BLOCKS:
                     first = penalty_objective(model, tset, state, config)
                     assert penalty_objective(model, tset, state, config) == first
                     block(model, tset, state, config)
@@ -578,7 +587,7 @@ class TestCycleBuffers:
     @pytest.mark.parametrize(
         "shape", [(16, 64, 8), (128, 2048, 16)], ids=["d16", "four-slabs"]
     )
-    @VARIANTS
+    @COUPLED_VARIANTS
     def test_objective_after_every_block_leaves_run_unchanged(
         self, latent, bregman, shape, monkeypatch
     ):
@@ -593,8 +602,7 @@ class TestCycleBuffers:
         tset = toy_training_set(dim=dim, count=count, seed=13)
         plain_model, plain_state = d.train_robust(tset, config)
         objectives = []
-        blocks = COUPLED_BLOCKS if latent == "coupled" else ANCHORED_BLOCKS
-        for block in blocks + (update_relaxation,):
+        for block in COUPLED_BLOCKS + (update_relaxation,):
 
             def followed(model, tset, state, config, block=block):
                 result = block(model, tset, state, config)
@@ -602,16 +610,14 @@ class TestCycleBuffers:
                 objectives.append(penalty_objective(model, tset, state, config))
                 after = written_state(state)
                 assert after[:2] == before[:2]
-                assert after[2].keys() == before[2].keys()
-                for name, kept in before[2].items():
-                    assert after[2][name] is kept, name
+                assert all(a is b for a, b in zip(after[2], before[2]))
                 _, fresh = rebuilt(model, state)
                 assert penalty_objective(model, tset, fresh, config) == objectives[-1]
                 return result
 
             monkeypatch.setattr(autoencoder, block.__name__, followed)
         model, state = d.train_robust(tset, config)
-        assert len(objectives) == config.max_iter * (len(blocks) + 1)
+        assert len(objectives) == config.max_iter * (len(COUPLED_BLOCKS) + 1)
         assert np.all(np.isfinite(objectives))
         assert state.objective_history == plain_state.objective_history
         assert state_bytes(model, state) == state_bytes(plain_model, plain_state)
@@ -633,7 +639,7 @@ class TestCycleBuffers:
             tracemalloc.stop()
         assert peak < bound * dim * count * 8
 
-    @VARIANTS
+    @COUPLED_VARIANTS
     def test_rebuilt_state_continues_bitwise(self, latent, bregman):
         # a caller that replaces an array builds a new state from the arrays;
         # built from copies after 3 cycles, it continues with the run's bits
@@ -642,12 +648,12 @@ class TestCycleBuffers:
         )
         tset = toy_training_set(dim=16, count=24, seed=3)
         model = _initial_weights(16, config)
-        state = fresh_state(model, tset, config)
+        state = fresh_state(model, tset)
         for _ in range(3):
             split_bregman_step(model, tset, state, config)
         copied, rebuilt_state = rebuilt(model, state)
         assert rebuilt_state.work is None and rebuilt_state.holds is None
-        assert not rebuilt_state.inverses and rebuilt_state.encoded is None
+        assert rebuilt_state.input_inverse is None and rebuilt_state.encoded is None
         assert penalty_objective(model, tset, state, config) == penalty_objective(
             copied, tset, rebuilt_state, config
         )
@@ -658,7 +664,7 @@ class TestCycleBuffers:
         assert state_bytes(model, state) == state_bytes(copied, rebuilt_state)
 
     @pytest.mark.parametrize("replaced", ["w_dec", "w_enc", "z"])
-    @VARIANTS
+    @COUPLED_VARIANTS
     def test_replaced_array_matches_fresh_state(self, latent, bregman, replaced):
         # after a replacement the caller builds a new state over the run's
         # own arrays; it matches a state built from copies, bit for bit
@@ -667,7 +673,7 @@ class TestCycleBuffers:
         )
         tset = toy_training_set(dim=16, count=24, seed=3)
         model = _initial_weights(16, config)
-        state = fresh_state(model, tset, config)
+        state = fresh_state(model, tset)
         for _ in range(3):
             split_bregman_step(model, tset, state, config)
         owner = state if replaced == "z" else model
@@ -683,7 +689,7 @@ class TestCycleBuffers:
         assert state.objective_history == fresh.objective_history
         assert state_bytes(model, state) == state_bytes(fresh_model, fresh)
 
-    @VARIANTS
+    @COUPLED_VARIANTS
     def test_any_block_order_matches_rebuilt_states_bitwise(self, latent, bregman):
         # after every ordered pair of blocks, run back to back: the products
         # the state kept are still right, and a state rebuilt before each
@@ -693,9 +699,9 @@ class TestCycleBuffers:
         )
         tset = toy_training_set(dim=16, count=24, seed=3)
         model = _initial_weights(16, config)
-        state = fresh_state(model, tset, config)
+        state = fresh_state(model, tset)
         split_bregman_step(model, tset, state, config)
-        blocks = (ANCHORED_BLOCKS if state.b2 is None else COUPLED_BLOCKS) + (update_relaxation,)
+        blocks = COUPLED_BLOCKS + (update_relaxation,)
         for block in [block for pair in itertools.product(blocks, repeat=2) for block in pair]:
             copied, rebuilt_state = rebuilt(model, state)
             block(model, tset, state, config)
@@ -704,18 +710,21 @@ class TestCycleBuffers:
 
     @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
     def test_non_finite_objective_raises_at_its_iteration(self, bregman):
-        # lam = inf leaves every anchored block finite (tau = 0), not the penalty
+        # lam = inf leaves P1 (tau = 0), P2 and P3 finite; P4's Gram is not,
+        # so Z and the objective go non-finite while both weights stay finite
         config = d.TrainConfig(
-            hidden=8, lam=1.0, mu=1.0, bregman_update=bregman, latent_update="anchored"
+            hidden=8, lam=1.0, mu=1.0, bregman_update=bregman, latent_update="coupled"
         )
         tset = toy_training_set(dim=16, count=24, seed=4)
         model = _initial_weights(16, config)
-        state = fresh_state(model, tset, config)
+        state = fresh_state(model, tset)
         for _ in range(2):
             split_bregman_step(model, tset, state, config)
         config.lam = np.inf  # past the constructor's check
         with pytest.raises(NumericFailure, match="at iteration 2$"):
             split_bregman_step(model, tset, state, config)
+        assert np.all(np.isfinite(model.w_enc)) and np.all(np.isfinite(model.w_dec))
+        assert state.iteration == len(state.objective_history) == 2
 
 
 class TestEncoderUpdate:
@@ -724,7 +733,7 @@ class TestEncoderUpdate:
         config = d.TrainConfig(hidden=8, lam=20.0, ridge_eps=1e-2, latent_update="coupled")
         tset = toy_training_set(dim=16, count=40, seed=5)
         model = _initial_weights(16, config)
-        state = fresh_state(model, tset, config)
+        state = fresh_state(model, tset)
         state.b2 = 0.1 * SeededRng(6).normal(state.z.shape)
         target = activate(state.z - state.b2, "inverse")
         expected = (target @ tset.x_in.T) @ _gram_inverse(tset.x_in, config.ridge_eps)
@@ -736,7 +745,7 @@ class TestEncoderUpdate:
         config = d.TrainConfig(hidden=8, lam=20.0, ridge_eps=1e-2, latent_update="coupled")
         tset = toy_training_set(dim=16, count=40, seed=5)
         model = _initial_weights(16, config)
-        state = fresh_state(model, tset, config)
+        state = fresh_state(model, tset)
         inverted = record_gram_inverses(monkeypatch)
         update_encoder(model, tset, state, config)
         first = model.w_enc
@@ -765,26 +774,23 @@ class TestFrozenFeatures:
         assert state.z.tobytes() == activate(w0 @ tset.x_in).tobytes()
 
     @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
-    def test_each_decoder_is_the_ridge_solve(self, bregman, monkeypatch):
-        # W_dec after cycle k solves against X_out - P_k + B1_{k-1}
+    def test_each_decoder_is_the_ridge_solve(self, bregman):
+        # W_dec after cycle k solves against X_out - P_k + B1_{k-1}; P_k and
+        # B1_k are read off a fit of k cycles
         config = self._config(bregman)
         tset = toy_training_set(dim=16, count=64, seed=1)
-        step = autoencoder.split_bregman_step
-        checked = []
-
-        def checked_step(model, tset, state, config):
-            b1 = state.b1.copy()
-            step(model, tset, state, config)
+        model = _initial_weights(16, config)
+        features = activate(model.w_enc @ tset.x_in)
+        b1 = np.zeros_like(tset.x_out)
+        for cycles in range(1, config.max_iter + 1):
+            short = dataclasses.replace(config, max_iter=cycles)
+            w_dec, state = fit_l1_decoder(features, tset.x_out, model.w_dec, short)
+            assert state.iteration == cycles
             expected = solve_ridge_least_squares(
-                state.z, tset.x_out - state.p + b1, config.ridge_eps
+                features, tset.x_out - state.p + b1, config.ridge_eps
             )
-            assert model.w_dec.tobytes() == expected.tobytes()
-            checked.append(state.iteration)
-            return model, state
-
-        monkeypatch.setattr(autoencoder, "split_bregman_step", checked_step)
-        d.train_robust(tset, config)
-        assert checked == list(range(1, config.max_iter + 1))
+            assert w_dec.tobytes() == expected.tobytes()
+            b1 = state.b1
 
     @pytest.mark.parametrize("latent", LATENT_UPDATES)
     def test_input_gram_only_in_coupled_runs(self, latent, monkeypatch):
@@ -800,6 +806,136 @@ class TestFrozenFeatures:
             assert inverted[0] is state.z
         else:
             assert on_input == [True] + [False] * config.max_iter
+
+
+class TestL1DecoderFit:
+    """The anchored trainer, fit_l1_decoder: P1, P3 and the B1 update over
+    fixed features F, in the slab passes it shares with the coupled cycle."""
+
+    def _setup(self, dim, count, bregman, seed=0, raw=False, **overrides):
+        """F = phi(W_0 X_in), or X_in itself if ``raw`` (then hidden = d + 1)."""
+        settings = dict(
+            hidden=16, lam=20.0, ridge_eps=1e-2, max_iter=3, rel_tol=0.0,
+            bregman_update=bregman, latent_update="anchored",
+        )
+        settings.update(overrides)
+        config = d.TrainConfig(**settings)
+        tset = toy_training_set(dim=dim, count=count, seed=seed)
+        model = _initial_weights(dim, config)
+        features = tset.x_in if raw else activate(model.w_enc @ tset.x_in)
+        return features, tset.x_out, model.w_dec, config
+
+    @pytest.mark.parametrize(
+        "bregman, shape, raw",
+        [
+            pytest.param(bregman, shape, False, id=f"{bregman}{suffix}")
+            for suffix, shape in CYCLE_SHAPES.items()
+            for bregman in BREGMAN_UPDATES
+        ]
+        # any feature matrix will do: X_in itself gives the linear map
+        + [pytest.param(bregman, (16, 64, 17), True, id=f"{bregman}-raw-inputs")
+           for bregman in BREGMAN_UPDATES],
+    )
+    def test_fit_matches_unshared_loop_bitwise(self, bregman, shape, raw):
+        dim, count, hidden = shape
+        features, targets, w_dec, config = self._setup(
+            dim, count, bregman, raw=raw, hidden=hidden, lam=1.0, ridge_eps=1e-6, max_iter=10
+        )
+        fitted, state = fit_l1_decoder(features, targets, w_dec, config)
+        ref_w_dec, ref_p, ref_b1, ref_history = reference_l1_fit(features, targets, w_dec, config)
+        assert state.iteration == len(state.objective_history) == 10
+        assert state.objective_history == ref_history
+        assert state.z is features and state.b2 is None
+        got = [a.tobytes() for a in (fitted, state.p, state.b1)]
+        assert got == [a.tobytes() for a in (ref_w_dec, ref_p, ref_b1)]
+
+    @pytest.mark.parametrize(
+        "shape, slabs", [((16, 64), 1), ((128, 2048), 4)], ids=["d16", "four-slabs"]
+    )
+    @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
+    def test_slab_sums_match_whole_array_objective(self, bregman, shape, slabs):
+        # over one slab or four: the arrays keep the unshared loop's bytes,
+        # the history its whole-array sums up to rounding, and the last
+        # entry is the slab-order sum of |P| and B1^2
+        assert len(autoencoder._row_slabs(shape)) == slabs
+        features, targets, w_dec, config = self._setup(*shape, bregman, seed=8)
+        fitted, state = fit_l1_decoder(features, targets, w_dec, config)
+        ref_w_dec, ref_p, ref_b1, ref_history = reference_l1_fit(features, targets, w_dec, config)
+        got = [a.tobytes() for a in (fitted, state.p, state.b1)]
+        assert got == [a.tobytes() for a in (ref_w_dec, ref_p, ref_b1)]
+        assert state.objective_history == pytest.approx(ref_history, rel=1e-13, abs=0.0)
+        recomputed = autoencoder._slab_sum(np.abs(state.p))
+        recomputed += config.lam * autoencoder._slab_sum(state.b1 * state.b1)
+        assert state.objective_history[-1] == recomputed
+
+    @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
+    def test_non_finite_objective_raises_at_its_iteration(self, bregman, monkeypatch):
+        # lam = inf, set past the constructor's check as the third cycle's
+        # B1 update starts, leaves the passes finite, not the objective
+        features, targets, w_dec, config = self._setup(16, 24, bregman, seed=4, max_iter=10)
+        relaxation_pass = autoencoder.relaxation_pass
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                config.lam = np.inf
+            return relaxation_pass(*args)
+
+        monkeypatch.setattr(autoencoder, "relaxation_pass", counted)
+        with pytest.raises(NumericFailure, match="at iteration 2$"):
+            fit_l1_decoder(features, targets, w_dec, config)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
+    def test_fit_allocates_no_dxn_temporaries(self, bregman):
+        # P, B1 and the one work array are the fit's d x N arrays; its
+        # cycles add only d x h, h x h and slab-sized temporaries
+        dim, count = 256, 4000
+        features, targets, w_dec, config = self._setup(dim, count, bregman, hidden=32)
+        tracemalloc.start()
+        try:
+            fit_l1_decoder(features, targets, w_dec, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * dim * count * 8
+
+    @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
+    def test_fit_stops_at_window(self, bregman):
+        features, targets, w_dec, config = self._setup(
+            8, 4, bregman, hidden=4, max_iter=100, rel_tol=np.inf
+        )
+        _, state = fit_l1_decoder(features, targets, w_dec, config)
+        assert len(state.objective_history) == state.iteration == 5
+
+    @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
+    def test_fit_leaves_its_inputs_unchanged(self, bregman):
+        # F, the targets and the starting decoder are read, never written
+        features, targets, w_dec, config = self._setup(16, 64, bregman, seed=5)
+        before = [a.tobytes() for a in (features, targets, w_dec)]
+        fitted, state = fit_l1_decoder(features, targets, w_dec, config)
+        assert [a.tobytes() for a in (features, targets, w_dec)] == before
+        assert fitted is not w_dec and state.z is features
+
+    @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
+    def test_anchored_run_is_the_fit_on_initial_features_bitwise(self, bregman):
+        # an anchored train_robust keeps W_0 and fits the decoder on
+        # F = phi(W_0 X_in) from the initial W_dec, bit for bit
+        config = d.TrainConfig(
+            hidden=8, lam=20.0, ridge_eps=1e-2, max_iter=6, rel_tol=0.0,
+            bregman_update=bregman, latent_update="anchored",
+        )
+        tset = toy_training_set(dim=16, count=64, seed=6)
+        model, state = d.train_robust(tset, config)
+        initial = _initial_weights(16, config)
+        features = activate(initial.w_enc @ tset.x_in)
+        fitted, fit_state = fit_l1_decoder(features, tset.x_out, initial.w_dec, config)
+        assert model.w_enc.tobytes() == initial.w_enc.tobytes()
+        assert model.w_dec.tobytes() == fitted.tobytes()
+        assert state.objective_history == fit_state.objective_history
+        got = [a.tobytes() for a in (state.p, state.z, state.b1)]
+        assert got == [a.tobytes() for a in (fit_state.p, fit_state.z, fit_state.b1)]
 
 
 class TestSlabs:
@@ -852,7 +988,7 @@ class TestSlabs:
             assert other_state.objective_history == state.objective_history
             assert state_bytes(other_model, other_state) == state_bytes(model, state)
 
-    @VARIANTS
+    @COUPLED_VARIANTS
     def test_slab_sums_kept_by_the_cycle_match_the_objective(self, latent, bregman):
         # the objective recomputed from P and B1 adds the same slab partials
         # as the passes that summed ||P||_1 and ||B1||^2
@@ -861,13 +997,12 @@ class TestSlabs:
         )
         tset = toy_training_set(dim=self.DIM, count=self.COUNT, seed=8)
         model = _initial_weights(self.DIM, config)
-        state = fresh_state(model, tset, config)
+        state = fresh_state(model, tset)
         for _ in range(2):
             split_bregman_step(model, tset, state, config)
             recomputed = autoencoder._slab_sum(np.abs(state.p))
             recomputed += config.lam * autoencoder._slab_sum(state.b1 * state.b1)
-            if state.b2 is not None:
-                recomputed += config.mu * float((state.b2 * state.b2).sum())
+            recomputed += config.mu * float((state.b2 * state.b2).sum())
             assert recomputed == state.objective_history[-1]
 
     def test_slabs_cover_rows_once_by_shape_alone(self, monkeypatch):
@@ -1146,4 +1281,34 @@ class TestModelPersistence:
 
         write_tensor(tmp_path / "bundle" / "w_dec.rdt", np.zeros((2, 2)))
         with pytest.raises(d.FormatError):
+            d.load_model(tmp_path / "bundle")
+
+    def test_failed_save_leaves_existing_bundle_unchanged(self, tmp_path):
+        # 1e39 is finite in float64 but not in float32: both tensors are
+        # checked before any file is written, so the old bundle stays whole
+        bundle = tmp_path / "bundle"
+        d.save_model(_initial_weights(4, d.TrainConfig(hidden=3, seed=10)), bundle)
+        before = {f.name: f.read_bytes() for f in bundle.iterdir()}
+        bad = _initial_weights(4, d.TrainConfig(hidden=3, seed=11))
+        bad.w_dec[0, 0] = 1e39
+        for path in (bundle, tmp_path / "fresh"):
+            with pytest.raises(ValueError, match="float32"):
+                d.save_model(bad, path)
+        assert {f.name: f.read_bytes() for f in bundle.iterdir()} == before
+        assert not (tmp_path / "fresh").exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("format_version", "99"), ("format_version", "2"), ("d", "4.0"),
+                       ("hidden", "three")]
+    )
+    def test_bad_manifest_value_rejected(self, tmp_path, key, value):
+        # only format version 1 is read, and d and hidden must be integers
+        d.save_model(_initial_weights(4, d.TrainConfig(hidden=3, seed=12)), tmp_path / "bundle")
+        manifest = tmp_path / "bundle" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        assert f"{key}=" in "".join(lines)
+        manifest.write_text("".join(
+            f"{key}={value}\n" if line.startswith(f"{key}=") else line + "\n" for line in lines
+        ))
+        with pytest.raises(d.FormatError, match=key):
             d.load_model(tmp_path / "bundle")

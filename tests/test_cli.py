@@ -122,6 +122,19 @@ class TestDispatch:
         assert rec.shape == (64, 64)
         assert rec.min() >= 0.0 and rec.max() <= 1.0
 
+    def test_reconstruct_other_format_version_exits_2(self, tmp_path, capsys):
+        model_dir = tmp_path / "model"
+        d.save_model(d.AutoencoderModel(np.zeros((4, 1025)), np.zeros((1024, 4))), model_dir)
+        manifest = model_dir / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("format_version=1", "format_version=99"))
+        img = tmp_path / "img.rdt"
+        run("phantom", "--size", "64", "--out", str(img))
+        out = tmp_path / "rec.rdt"
+        assert run("reconstruct", "--model", str(model_dir),
+                   "--image", str(img), "--out", str(out)) == 2
+        assert "format_version" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfig:
     def test_defaults_resolve(self):
