@@ -15,9 +15,10 @@ followed by the relaxation update B <- R ("reflective") or B <- -R
 two coupling constraints: the ``coupled`` trainer.  The ``anchored`` one,
 :func:`fit_l1_decoder`, freezes Z at the random features F = phi(W_0 X_in)
 of the seeded initial encoder and cycles P1, P3 (F F^T + eps I inverted
-once) and the B1 update: scaled ADMM for one least-absolute-deviation
-regression per output pixel (Boyd et al. 2011, section 6.1).  An l2
-gradient-descent trainer with the same architecture is the non-robust baseline.
+once) and the B1 update, in float32: scaled ADMM for one
+least-absolute-deviation regression per output pixel (Boyd et al. 2011,
+section 6.1).  An l2 gradient-descent trainer with the same architecture is
+the non-robust baseline.
 """
 
 from __future__ import annotations
@@ -158,8 +159,9 @@ def _over_slabs(kernel, shape):
 
 
 def _slab_sum(arr):
-    """arr.sum() taken slab by slab, as the fused passes of the cycle take it."""
-    return _over_slabs(lambda rows: float(arr[rows].sum()), arr.shape)
+    """arr.sum() taken slab by slab in float64, as the fused passes of the
+    cycle take it."""
+    return _over_slabs(lambda rows: float(arr[rows].sum(dtype=np.float64)), arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +392,8 @@ def sparse_residual_pass(work, p, b1, x_out, lam):
     """P1's pass over the row slabs, in both trainers: v = gap + B1 replaces
     the gap X_out - W_dec Z in ``work``, P = soft(v, 1/(2 lam)), whose
     ||P||_1 is summed before the sign of v is applied, and the decoder
-    target X_out - P + B1 replaces v.  Returns ||P||_1, added in slab order.
+    target X_out - P + B1 replaces v.  Returns ||P||_1, summed in float64
+    and added in slab order.
     """
     tau = 1.0 / (2.0 * lam)
 
@@ -399,7 +402,7 @@ def sparse_residual_pass(work, p, b1, x_out, lam):
         shrunk = np.abs(v, out=p[rows])
         shrunk -= tau
         np.maximum(shrunk, 0.0, out=shrunk)
-        l1 = float(shrunk.sum())
+        l1 = float(shrunk.sum(dtype=np.float64))
         np.multiply(np.sign(v, out=v), shrunk, out=shrunk)
         target = np.subtract(x_out[rows], shrunk, out=v)
         target += b1[rows]
@@ -412,14 +415,15 @@ def relaxation_pass(gap, p, b1, x_out, bregman_update):
     """The B1 update's pass over the row slabs, in both trainers: the gap
     X_out - W_dec Z replaces W_dec Z in ``gap`` (for the next P1), then
     C1 = P - gap in a slab-sized temporary and :func:`_relax`.  Returns
-    ||B1||^2, the objective's lam term, added in slab order.
+    ||B1||^2, the objective's lam term, summed in float64 and added in
+    slab order.
     """
 
     def slab(rows):
         np.subtract(x_out[rows], gap[rows], out=gap[rows])
         c1 = np.subtract(p[rows], gap[rows])
         b = _relax(c1, b1[rows], bregman_update)
-        return float(np.multiply(b, b, out=c1).sum())
+        return float(np.multiply(b, b, out=c1).sum(dtype=np.float64))
 
     return _over_slabs(slab, b1.shape)
 
@@ -525,15 +529,25 @@ def fit_l1_decoder(features, targets, w_dec, config):
     P1, P3 against that inverse and the B1 update in one d x N work array,
     recording ||P||_1 + lam ||B1||^2, under :func:`train_robust`'s stopping
     rule.  Returns the decoder and a state with Z = F and no B2.
+
+    The fit runs in F's dtype: its copy of the targets, P, B1, the work
+    array and the decoder it multiplies F by take it, and the objective's
+    sums are float64.  The inverse, formed from F upcast, and the decoder
+    step's h x h product stay float64, since F F^T + eps I can be too ill
+    conditioned for float32 (condition number 1.6e8 at h=4096 on 9310
+    patches).  The decoder comes back float64 and C-contiguous, and on
+    float64 features nothing is cast.
     """
+    dtype = features.dtype
+    targets = targets.astype(dtype, copy=False)
     state = SplitBregmanState(np.empty_like(targets), features, np.zeros_like(targets), None)
-    work = np.matmul(w_dec, features)
+    work = np.matmul(w_dec.astype(dtype, copy=False), features)
     np.subtract(targets, work, out=work)
-    inverse = _gram_inverse(features, config.ridge_eps)
+    inverse = _gram_inverse(features.astype(np.float64, copy=False), config.ridge_eps)
     for _ in range(config.max_iter):
         p_l1 = sparse_residual_pass(work, state.p, state.b1, targets, config.lam)
-        w_dec = (work @ features.T) @ inverse
-        np.matmul(w_dec, features, out=work)
+        w_dec = (work @ features.T).astype(np.float64, copy=False) @ inverse
+        np.matmul(w_dec.astype(dtype, copy=False), features, out=work)
         b1_sq = relaxation_pass(work, state.p, state.b1, targets, config.bregman_update)
         _record(state, p_l1 + config.lam * b1_sq, w_dec)
         if _window_converged(state.objective_history, config.rel_tol):
@@ -563,9 +577,9 @@ def train_robust(tset: TrainingSet, config: TrainConfig):
     """Train the l1-cost autoencoder.
 
     Initializes weights from seeded Gaussians scaled by 1/sqrt(fan-in).
-    An anchored run fits the decoder on F = phi(W_0 X_in) by
-    :func:`fit_l1_decoder`.  A coupled run starts from Z = F, B1 = 0 and
-    B2 = 0 (P1 writes P before anything reads it) and iterates
+    An anchored run fits the decoder on F = phi(W_0 X_in), cast to
+    float32, by :func:`fit_l1_decoder`.  A coupled run starts from Z = F,
+    B1 = 0 and B2 = 0 (P1 writes P before anything reads it) and iterates
     :func:`split_bregman_step` until the relative objective change stays
     below ``rel_tol`` across a window of five objective values or
     ``max_iter`` cycles are done.  Returns the trained model together with
@@ -574,6 +588,8 @@ def train_robust(tset: TrainingSet, config: TrainConfig):
     model = _initial_weights(tset.x_out.shape[0], config)
     z = activate(model.w_enc @ tset.x_in)
     if config.latent_update == "anchored":
+        # the fit's d x N passes are memory-bound: in float32 they move half the bytes
+        z = z.astype(np.float32)
         model.w_dec, state = fit_l1_decoder(z, tset.x_out, model.w_dec, config)
         return model, state
     x_out = tset.x_out

@@ -1,8 +1,11 @@
 """Shared primitives: deterministic randomness, phantom images, binary file I/O.
 
-All image arithmetic in this package is double precision; only persisted
-tensors are stored as float32.  Images are plain 2-d ``numpy`` arrays
-(row-major, finite values), complex k-space grids are complex128 arrays.
+All arithmetic in this package is double precision, except the anchored l1
+fit (``autoencoder.fit_l1_decoder``), whose features F, copy of the targets,
+sparse residual P, relaxation variable B1 and work array are float32.
+Persisted tensors are stored as float32.  Images are plain 2-d ``numpy``
+arrays (row-major, finite values), complex k-space grids are complex128
+arrays.
 """
 
 from __future__ import annotations

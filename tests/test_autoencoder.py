@@ -424,17 +424,26 @@ def unshared_cycle(model, tset, state, config):
 
 
 def reference_l1_fit(features, targets, w_dec, config):
-    """The anchored fit written out with nothing shared: plain soft
-    thresholding, the plain ridge solve, the objective summed over whole
-    arrays, and B1 <- c - B1 or B1 - c from the constraint c itself."""
+    """The anchored fit written out with nothing shared, in F's dtype:
+    soft_threshold's formula, the ridge solve with (F F^T + eps I)^-1 and
+    its h x h product in float64, the objective summed over whole arrays in
+    float64, and B1 <- c - B1 or B1 - c from the constraint c itself.  On
+    float64 features these are the operations of soft_threshold and
+    solve_ridge_least_squares, in their order."""
+    dtype = features.dtype
+    targets = targets.astype(dtype)
+    inverse = _gram_inverse(features.astype(np.float64), config.ridge_eps)
+    tau = 1.0 / (2.0 * config.lam)
     b1 = np.zeros_like(targets)
     history = []
     for _ in range(config.max_iter):
-        p = soft_threshold(targets - w_dec @ features + b1, 1.0 / (2.0 * config.lam))
-        w_dec = solve_ridge_least_squares(features, targets - p + b1, config.ridge_eps)
-        c = p - (targets - w_dec @ features)
+        v = targets - w_dec.astype(dtype) @ features + b1
+        p = np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+        w_dec = ((targets - p + b1) @ features.T).astype(np.float64) @ inverse
+        c = p - (targets - w_dec.astype(dtype) @ features)
         r = c - b1
-        history.append(float(np.abs(p).sum()) + config.lam * float((r * r).sum()))
+        l1, sq = (float(a.sum(dtype=np.float64)) for a in (np.abs(p), r * r))
+        history.append(l1 + config.lam * sq)
         b1 = c - b1 if config.bregman_update == "reflective" else b1 - c
     return w_dec, p, b1, history
 
@@ -442,6 +451,18 @@ def reference_l1_fit(features, targets, w_dec, config):
 # (dim, count, hidden) of the unshared-cycle comparison; the first keeps the
 # original case ids, the second (hidden < dim, count >> dim) gets a suffix
 CYCLE_SHAPES = {"": (16, 16, 8), "-d64": (64, 700, 32)}
+
+# the dtypes of the anchored fit's features: float64 keeps the original case
+# ids, float32 (the dtype train_robust gives it) gets a suffix
+FIT_DTYPES = {"": np.float64, "-float32": np.float32}
+FIT_CASES = pytest.mark.parametrize(
+    "bregman, dtype",
+    [
+        pytest.param(bregman, dtype, id=f"{bregman}{suffix}")
+        for suffix, dtype in FIT_DTYPES.items()
+        for bregman in BREGMAN_UPDATES
+    ],
+)
 
 
 class TestRelaxationIdentity:
@@ -486,24 +507,24 @@ class TestRelaxationIdentity:
         assert hashlib.sha256(weights).hexdigest() == weights_sha256
 
 
-# anchored train_robust at d=16, N=64, h=8, lam 20, ridge 1e-2, 10 cycles:
-# objective history and the SHA-256 of the w_enc then w_dec bytes
+# anchored train_robust at d=16, N=64, h=8, lam 20, ridge 1e-2, 10 cycles, the
+# fit in float32: objective history and the SHA-256 of the w_enc then w_dec bytes
 ANCHORED_PINS = {
     "reflective": (
         [
-            709.8387619382701, 684.5997437388849, 662.8218665256267, 640.9128962632911,
-            619.4715815458575, 598.1402561111224, 577.1740944007529, 556.5222124558638,
-            536.334743173126, 516.6546651039556,
+            709.838776698844, 684.5997690438423, 662.8219034189059, 640.9129471355068,
+            619.4716455655799, 598.1403302006966, 577.1741777833547, 556.5223043053112,
+            536.3348389389344, 516.6547707190906,
         ],
-        "e02e6ca4297e81ba04c81aa1e46ddab65dc75d0912073afe49b73ffe1bfe08e4",
+        "bc8a2d7030f823f8134c409ba834778c8127c55c5893f4e59ab2616ffbba2ae7",
     ),
     "additive": (
         [
-            709.8387619382701, 691.0336502854258, 669.3439134915458, 647.9767796074657,
-            626.9965625494007, 606.3699848699981, 585.9785702082463, 565.8913155525886,
-            546.3243081817294, 527.4981847361654,
+            709.838776698844, 691.0336712117489, 669.3439535062548, 647.9768191925968,
+            626.9966286193702, 606.3700656629727, 585.9786570832564, 565.8914055942987,
+            546.324405811036, 527.4982947320281,
         ],
-        "306cf5e807e010492d749f7fa6a4501e851b6d308eb72decf86f9a78350196da",
+        "a743fbdb6585893631fdb16626bece2f5a1b2dfa918fcc468be3b16c9fa5d514",
     ),
 }
 
@@ -766,12 +787,23 @@ class TestFrozenFeatures:
 
     @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
     def test_encoder_and_features_stay_initial(self, bregman):
+        # Z is F, cast to float32 for the fit
         config = self._config(bregman)
         tset = toy_training_set(dim=16, count=64, seed=0)
         model, state = d.train_robust(tset, config)
         w0 = _initial_weights(16, config).w_enc
         assert model.w_enc.tobytes() == w0.tobytes()
-        assert state.z.tobytes() == activate(w0 @ tset.x_in).tobytes()
+        assert state.z.tobytes() == activate(w0 @ tset.x_in).astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
+    def test_model_stays_float64_c_contiguous(self, bregman):
+        # the fit runs in float32, the model it returns does not: a float32
+        # w_dec would be upcast by every forward pass
+        config = self._config(bregman)
+        model, state = d.train_robust(toy_training_set(dim=16, count=64, seed=0), config)
+        assert state.p.dtype == np.float32
+        for weights in (model.w_enc, model.w_dec):
+            assert weights.dtype == np.float64 and weights.flags.c_contiguous
 
     @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
     def test_each_decoder_is_the_ridge_solve(self, bregman):
@@ -794,8 +826,9 @@ class TestFrozenFeatures:
 
     @pytest.mark.parametrize("latent", LATENT_UPDATES)
     def test_input_gram_only_in_coupled_runs(self, latent, monkeypatch):
-        # anchored: one inverse, of F F^T; coupled: the input Gram once, plus
-        # one F F^T per cycle since its Z changes
+        # anchored: one inverse, of F F^T with the float32 F upcast to
+        # float64; coupled: the input Gram once, plus one F F^T per cycle
+        # since its Z changes
         config = self._config("additive", latent)
         tset = toy_training_set(dim=16, count=64, seed=2)
         inverted = record_gram_inverses(monkeypatch)
@@ -803,7 +836,8 @@ class TestFrozenFeatures:
         on_input = [a is tset.x_in for a in inverted]
         if latent == "anchored":
             assert on_input == [False]
-            assert inverted[0] is state.z
+            assert inverted[0].dtype == np.float64 and state.z.dtype == np.float32
+            assert np.array_equal(inverted[0], state.z)
         else:
             assert on_input == [True] + [False] * config.max_iter
 
@@ -812,8 +846,9 @@ class TestL1DecoderFit:
     """The anchored trainer, fit_l1_decoder: P1, P3 and the B1 update over
     fixed features F, in the slab passes it shares with the coupled cycle."""
 
-    def _setup(self, dim, count, bregman, seed=0, raw=False, **overrides):
-        """F = phi(W_0 X_in), or X_in itself if ``raw`` (then hidden = d + 1)."""
+    def _setup(self, dim, count, bregman, seed=0, raw=False, dtype=np.float64, **overrides):
+        """F = phi(W_0 X_in), or X_in itself if ``raw`` (then hidden = d + 1),
+        in ``dtype``; the targets and W_0 stay float64."""
         settings = dict(
             hidden=16, lam=20.0, ridge_eps=1e-2, max_iter=3, rel_tol=0.0,
             bregman_update=bregman, latent_update="anchored",
@@ -823,42 +858,47 @@ class TestL1DecoderFit:
         tset = toy_training_set(dim=dim, count=count, seed=seed)
         model = _initial_weights(dim, config)
         features = tset.x_in if raw else activate(model.w_enc @ tset.x_in)
-        return features, tset.x_out, model.w_dec, config
+        return features.astype(dtype, copy=False), tset.x_out, model.w_dec, config
 
     @pytest.mark.parametrize(
-        "bregman, shape, raw",
+        "bregman, shape, raw, dtype",
         [
-            pytest.param(bregman, shape, False, id=f"{bregman}{suffix}")
+            pytest.param(bregman, shape, False, dtype, id=f"{bregman}{suffix}{dtype_suffix}")
+            for dtype_suffix, dtype in FIT_DTYPES.items()
             for suffix, shape in CYCLE_SHAPES.items()
             for bregman in BREGMAN_UPDATES
         ]
         # any feature matrix will do: X_in itself gives the linear map
-        + [pytest.param(bregman, (16, 64, 17), True, id=f"{bregman}-raw-inputs")
+        + [pytest.param(bregman, (16, 64, 17), True, dtype,
+                        id=f"{bregman}-raw-inputs{dtype_suffix}")
+           for dtype_suffix, dtype in FIT_DTYPES.items()
            for bregman in BREGMAN_UPDATES],
     )
-    def test_fit_matches_unshared_loop_bitwise(self, bregman, shape, raw):
+    def test_fit_matches_unshared_loop_bitwise(self, bregman, shape, raw, dtype):
         dim, count, hidden = shape
         features, targets, w_dec, config = self._setup(
-            dim, count, bregman, raw=raw, hidden=hidden, lam=1.0, ridge_eps=1e-6, max_iter=10
+            dim, count, bregman, raw=raw, dtype=dtype,
+            hidden=hidden, lam=1.0, ridge_eps=1e-6, max_iter=10,
         )
         fitted, state = fit_l1_decoder(features, targets, w_dec, config)
         ref_w_dec, ref_p, ref_b1, ref_history = reference_l1_fit(features, targets, w_dec, config)
         assert state.iteration == len(state.objective_history) == 10
         assert state.objective_history == ref_history
         assert state.z is features and state.b2 is None
+        assert state.p.dtype == state.b1.dtype == dtype and fitted.dtype == np.float64
         got = [a.tobytes() for a in (fitted, state.p, state.b1)]
         assert got == [a.tobytes() for a in (ref_w_dec, ref_p, ref_b1)]
 
     @pytest.mark.parametrize(
         "shape, slabs", [((16, 64), 1), ((128, 2048), 4)], ids=["d16", "four-slabs"]
     )
-    @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
-    def test_slab_sums_match_whole_array_objective(self, bregman, shape, slabs):
+    @FIT_CASES
+    def test_slab_sums_match_whole_array_objective(self, bregman, dtype, shape, slabs):
         # over one slab or four: the arrays keep the unshared loop's bytes,
-        # the history its whole-array sums up to rounding, and the last
-        # entry is the slab-order sum of |P| and B1^2
+        # the history its float64 whole-array sums up to rounding, and the
+        # last entry is the slab-order sum of |P| and B1^2
         assert len(autoencoder._row_slabs(shape)) == slabs
-        features, targets, w_dec, config = self._setup(*shape, bregman, seed=8)
+        features, targets, w_dec, config = self._setup(*shape, bregman, seed=8, dtype=dtype)
         fitted, state = fit_l1_decoder(features, targets, w_dec, config)
         ref_w_dec, ref_p, ref_b1, ref_history = reference_l1_fit(features, targets, w_dec, config)
         got = [a.tobytes() for a in (fitted, state.p, state.b1)]
@@ -867,6 +907,33 @@ class TestL1DecoderFit:
         recomputed = autoencoder._slab_sum(np.abs(state.p))
         recomputed += config.lam * autoencoder._slab_sum(state.b1 * state.b1)
         assert state.objective_history[-1] == recomputed
+
+    @pytest.mark.parametrize(
+        "ridge_eps, collinear", [(1e-2, False), (1e-6, True)], ids=["tanh", "ill-conditioned"]
+    )
+    @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
+    def test_float32_history_regression_against_float64(self, bregman, ridge_eps, collinear):
+        # the fit on float32 F tracks the float64 fit on the same inputs, at
+        # d=64, N=700, h=32 and 10 cycles, also when F F^T + eps I is beyond
+        # float32 (row 1 = row 0 + 1e-3 row 2 at ridge 1e-6: condition number
+        # 4.5e9), where a float32 inverse diverges.  Measured: 6e-7 in the
+        # history and 1.2e-5 in W_dec F; on the tanh features 7e-5 in W_dec,
+        # which the collinear rows leave undetermined (relative Frobenius)
+        features, targets, w_dec, config = self._setup(
+            64, 700, bregman, hidden=32, max_iter=10, ridge_eps=ridge_eps
+        )
+        if collinear:
+            features[1] = features[0] + 1e-3 * features[2]
+        ref_w_dec, ref_state = fit_l1_decoder(features, targets, w_dec, config)
+        fitted, state = fit_l1_decoder(features.astype(np.float32), targets, w_dec, config)
+        assert state.iteration == ref_state.iteration == 10
+        assert state.objective_history == pytest.approx(
+            ref_state.objective_history, rel=1e-4, abs=0.0
+        )
+        ref_out = ref_w_dec @ features
+        assert np.linalg.norm(fitted @ features - ref_out) < 1e-4 * np.linalg.norm(ref_out)
+        if not collinear:
+            assert np.linalg.norm(fitted - ref_w_dec) < 1e-3 * np.linalg.norm(ref_w_dec)
 
     @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
     def test_non_finite_objective_raises_at_its_iteration(self, bregman, monkeypatch):
@@ -887,19 +954,23 @@ class TestL1DecoderFit:
             fit_l1_decoder(features, targets, w_dec, config)
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
-    def test_fit_allocates_no_dxn_temporaries(self, bregman):
+    @FIT_CASES
+    def test_fit_allocates_no_dxn_temporaries(self, bregman, dtype):
         # P, B1 and the one work array are the fit's d x N arrays; its
-        # cycles add only d x h, h x h and slab-sized temporaries
+        # cycles add only d x h, h x h and slab-sized temporaries.  The
+        # targets come in the fit's dtype, so the fit does not copy them
         dim, count = 256, 4000
-        features, targets, w_dec, config = self._setup(dim, count, bregman, hidden=32)
+        features, targets, w_dec, config = self._setup(
+            dim, count, bregman, hidden=32, dtype=dtype
+        )
+        targets = targets.astype(dtype)
         tracemalloc.start()
         try:
             fit_l1_decoder(features, targets, w_dec, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * dim * count * 8
+        assert peak < 3.5 * dim * count * np.dtype(dtype).itemsize
 
     @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
     def test_fit_stops_at_window(self, bregman):
@@ -909,10 +980,10 @@ class TestL1DecoderFit:
         _, state = fit_l1_decoder(features, targets, w_dec, config)
         assert len(state.objective_history) == state.iteration == 5
 
-    @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
-    def test_fit_leaves_its_inputs_unchanged(self, bregman):
+    @FIT_CASES
+    def test_fit_leaves_its_inputs_unchanged(self, bregman, dtype):
         # F, the targets and the starting decoder are read, never written
-        features, targets, w_dec, config = self._setup(16, 64, bregman, seed=5)
+        features, targets, w_dec, config = self._setup(16, 64, bregman, seed=5, dtype=dtype)
         before = [a.tobytes() for a in (features, targets, w_dec)]
         fitted, state = fit_l1_decoder(features, targets, w_dec, config)
         assert [a.tobytes() for a in (features, targets, w_dec)] == before
@@ -921,7 +992,7 @@ class TestL1DecoderFit:
     @pytest.mark.parametrize("bregman", BREGMAN_UPDATES)
     def test_anchored_run_is_the_fit_on_initial_features_bitwise(self, bregman):
         # an anchored train_robust keeps W_0 and fits the decoder on
-        # F = phi(W_0 X_in) from the initial W_dec, bit for bit
+        # F = phi(W_0 X_in), cast to float32, from the initial W_dec, bit for bit
         config = d.TrainConfig(
             hidden=8, lam=20.0, ridge_eps=1e-2, max_iter=6, rel_tol=0.0,
             bregman_update=bregman, latent_update="anchored",
@@ -929,7 +1000,7 @@ class TestL1DecoderFit:
         tset = toy_training_set(dim=16, count=64, seed=6)
         model, state = d.train_robust(tset, config)
         initial = _initial_weights(16, config)
-        features = activate(initial.w_enc @ tset.x_in)
+        features = activate(initial.w_enc @ tset.x_in).astype(np.float32)
         fitted, fit_state = fit_l1_decoder(features, tset.x_out, initial.w_dec, config)
         assert model.w_enc.tobytes() == initial.w_enc.tobytes()
         assert model.w_dec.tobytes() == fitted.tobytes()
