@@ -18,7 +18,8 @@ of the seeded initial encoder and cycles P1, P3 (F F^T + eps I inverted
 once) and the B1 update, in float32: scaled ADMM for one
 least-absolute-deviation regression per output pixel (Boyd et al. 2011,
 section 6.1).  An l2 gradient-descent trainer with the same architecture is
-the non-robust baseline.
+the non-robust baseline.  Its epochs run their products and workspace in
+float32 and keep the loss sums, gradients, weights and model in float64.
 """
 
 from __future__ import annotations
@@ -586,7 +587,8 @@ def train_robust(tset: TrainingSet, config: TrainConfig):
     the final solver state.
     """
     model = _initial_weights(tset.x_out.shape[0], config)
-    z = activate(model.w_enc @ tset.x_in)
+    z = model.w_enc @ tset.x_in
+    np.tanh(z, out=z)  # phi in place: one h x N float64 array, not two
     if config.latent_update == "anchored":
         # the fit's d x N passes are memory-bound: in float32 they move half the bytes
         z = z.astype(np.float32)
@@ -608,14 +610,19 @@ def train_robust(tset: TrainingSet, config: TrainConfig):
 # ---------------------------------------------------------------------------
 
 
-def l2_workspace(model, tset):
-    """The arrays :func:`l2_loss_and_grads` fills: the d x N residual and
-    two h x N arrays, the codes Z and the back-propagated hidden error."""
+def l2_workspace(model, tset, dtype=np.float64):
+    """The arrays :func:`l2_loss_and_grads` fills, in ``dtype``: the d x N
+    residual and two h x N arrays, the codes Z and the back-propagated
+    hidden error.  The l2 trainers ask for float32."""
     hidden_shape = (model.hidden, tset.count)
-    return np.empty_like(tset.x_out), np.empty(hidden_shape), np.empty(hidden_shape)
+    return (
+        np.empty(tset.x_out.shape, dtype),
+        np.empty(hidden_shape, dtype),
+        np.empty(hidden_shape, dtype),
+    )
 
 
-def l2_loss_and_grads(model, tset, buffers=None):
+def l2_loss_and_grads(model, tset, buffers=None, x_in=None):
     """Squared-error loss and its exact weight gradients.
 
     The products are written into ``buffers`` (see :func:`l2_workspace`;
@@ -625,20 +632,30 @@ def l2_loss_and_grads(model, tset, buffers=None):
     pass, which overwrites Z once W_dec's gradient is formed.  Doubling the
     two gradients rather than R is exact, so they have the bits of the
     plain expression with 2R.
+
+    ``x_in`` is X_in in the dtype the products run in (``tset.x_in``,
+    float64, if None), and the buffers share that dtype.  The weights are
+    cast to it, and the residual pass subtracts the float64 X_out from the
+    product, so X_out is not copied.  Each slab of the residual is squared
+    and summed in float64, and the loss and both gradients come back
+    float64.  On a float64 ``TrainingSet`` with no ``x_in`` nothing is cast.
     """
-    residual, z, hidden = l2_workspace(model, tset) if buffers is None else buffers
-    np.tanh(np.matmul(model.w_enc, tset.x_in, out=z), out=z)
-    np.matmul(model.w_dec, z, out=residual)
+    x_in = tset.x_in if x_in is None else x_in
+    dtype = x_in.dtype
+    residual, z, hidden = l2_workspace(model, tset, dtype) if buffers is None else buffers
+    w_dec = model.w_dec.astype(dtype, copy=False)
+    np.tanh(np.matmul(model.w_enc.astype(dtype, copy=False), x_in, out=z), out=z)
+    np.matmul(w_dec, z, out=residual)
     x_out = tset.x_out
 
     def residual_slab(rows):
         r = np.subtract(residual[rows], x_out[rows], out=residual[rows])
-        return float(np.square(r).sum())
+        return float(np.square(r, dtype=np.float64).sum())
 
     loss = _over_slabs(residual_slab, residual.shape)
-    g_dec = residual @ z.T
+    g_dec = (residual @ z.T).astype(np.float64, copy=False)
     g_dec *= 2.0
-    np.matmul(model.w_dec.T, residual, out=hidden)
+    np.matmul(w_dec.T, residual, out=hidden)
 
     def hidden_slab(rows):
         slope = np.multiply(z[rows], z[rows], out=z[rows])
@@ -647,7 +664,7 @@ def l2_loss_and_grads(model, tset, buffers=None):
         return 0.0
 
     _over_slabs(hidden_slab, hidden.shape)
-    g_enc = hidden @ tset.x_in.T
+    g_enc = (hidden @ x_in.T).astype(np.float64, copy=False)
     g_enc *= 2.0
     return loss, g_enc, g_dec
 
@@ -675,12 +692,15 @@ def train_l2_timed(tset: TrainingSet, config: TrainConfig, budget_seconds: float
 def _l2_descent(tset, config, stop):
     """The l2 trainers' loop; runs until ``stop(epochs, seconds)`` is true."""
     model = _initial_weights(tset.x_out.shape[0], config)
-    buffers = l2_workspace(model, tset)
+    # the five products of an epoch run in float32 (sgemm); the weights,
+    # their update and the returned model stay float64
+    x_in = tset.x_in.astype(np.float32)
+    buffers = l2_workspace(model, tset, np.float32)
     initial = None
     epoch = 0
     start = time.perf_counter()
     while not stop(epoch, time.perf_counter() - start):
-        loss, g_enc, g_dec = l2_loss_and_grads(model, tset, buffers)
+        loss, g_enc, g_dec = l2_loss_and_grads(model, tset, buffers, x_in)
         if initial is None:
             initial = loss
         if not np.isfinite(loss) or loss > 1e6 * max(initial, 1e-300):

@@ -1271,6 +1271,47 @@ class TestL2Baseline:
             tracemalloc.stop()
         assert peak < 1.5 * dim * count * 8
 
+    def test_float32_run_copies_no_targets(self, monkeypatch):
+        # the run holds X_in and the workspace in float32 beside the float64
+        # TrainingSet, and the residual pass reads X_out as it is: a float32
+        # copy of X_out would add 0.5 d x N x 8.  Each worker of the slab
+        # passes squares its slab in float64, so the run gets one usable
+        # core and its peak does not depend on the machine's core count
+        monkeypatch.setattr(autoencoder, "_usable_cores", lambda: 1)
+        dim, count, hidden = 256, 4000, 32
+        tset = toy_training_set(dim=dim, count=count, seed=12)
+        config = d.TrainConfig(hidden=hidden, seed=0, learning_rate=1e-7, epochs=3)
+        tracemalloc.start()
+        try:
+            d.train_l2_baseline(tset, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * dim * count * 8
+
+    def test_float32_descent_tracks_float64_reference(self):
+        # the descent written out in float64 with nothing shared; the
+        # trainer's epochs run their products in float32
+        dim, count, epochs, rate = 64, 2000, 30, 1e-5
+        tset = toy_training_set(dim=dim, count=count, seed=16)
+        config = d.TrainConfig(hidden=16, seed=0, learning_rate=rate, epochs=epochs)
+        init = _initial_weights(dim, config)
+        w_enc, w_dec = init.w_enc, init.w_dec
+        for _ in range(epochs):
+            z = np.tanh(w_enc @ tset.x_in)
+            g_out = 2.0 * (w_dec @ z - tset.x_out)
+            g_enc = ((w_dec.T @ g_out) * (1.0 - z * z)) @ tset.x_in.T
+            w_enc, w_dec = w_enc - rate * g_enc, w_dec - rate * (g_out @ z.T)
+        residual = w_dec @ np.tanh(w_enc @ tset.x_in) - tset.x_out
+        expected = float((residual * residual).sum())
+        model = d.train_l2_baseline(tset, config)
+        assert model.w_enc.dtype == model.w_dec.dtype == np.float64
+        loss = l2_loss_and_grads(model, tset)[0]
+        assert loss < 0.5 * l2_loss_and_grads(init, tset)[0]
+        assert abs(loss - expected) < 1e-5 * expected
+        for got, want in ((model.w_enc, w_enc), (model.w_dec, w_dec)):
+            assert np.abs(got - want).max() < 1e-5 * np.abs(want).max()
+
     def test_workspace_gives_the_bits_of_fresh_buffers(self):
         tset = toy_training_set(dim=16, count=40, seed=11)
         model = _initial_weights(16, d.TrainConfig(hidden=6, seed=4))
