@@ -15,11 +15,12 @@ followed by the relaxation update B <- R ("reflective") or B <- -R
 two coupling constraints: the ``coupled`` trainer.  The ``anchored`` one,
 :func:`fit_l1_decoder`, freezes Z at the random features F = phi(W_0 X_in)
 of the seeded initial encoder and cycles P1, P3 (F F^T + eps I inverted
-once) and the B1 update, in float32: scaled ADMM for one
-least-absolute-deviation regression per output pixel (Boyd et al. 2011,
-section 6.1).  An l2 gradient-descent trainer with the same architecture is
-the non-robust baseline.  Its epochs run their products and workspace in
-float32 and keep the loss sums, gradients, weights and model in float64.
+once) and the B1 update, in float32, from the ridge decoder on F: scaled
+ADMM for one least-absolute-deviation regression per output pixel (Boyd et
+al. 2011, section 6.1).  An l2 gradient-descent trainer with the same
+architecture is the non-robust baseline.  Its epochs run their products
+and workspace in float32 and keep the loss sums, gradients, weights and
+model in float64.
 """
 
 from __future__ import annotations
@@ -404,7 +405,9 @@ def sparse_residual_pass(work, p, b1, x_out, lam):
         shrunk -= tau
         np.maximum(shrunk, 0.0, out=shrunk)
         l1 = float(shrunk.sum(dtype=np.float64))
-        np.multiply(np.sign(v, out=v), shrunk, out=shrunk)
+        # np.sign in place takes a branchy loop, slower the more often the
+        # sign of v flips; into a slab-sized temporary it does not
+        np.multiply(np.sign(v), shrunk, out=shrunk)
         target = np.subtract(x_out[rows], shrunk, out=v)
         target += b1[rows]
         return l1
@@ -524,12 +527,15 @@ def split_bregman_step(model, tset, state, config):
     return model, state
 
 
-def fit_l1_decoder(features, targets, w_dec, config):
+def fit_l1_decoder(features, targets, config):
     """The anchored trainer: the l1 fit of a decoder on fixed h x N
-    features F, from ``w_dec``.  It inverts F F^T + eps I once, then cycles
-    P1, P3 against that inverse and the B1 update in one d x N work array,
-    recording ||P||_1 + lam ||B1||^2, under :func:`train_robust`'s stopping
-    rule.  Returns the decoder and a state with Z = F and no B2.
+    features F.  It inverts F F^T + eps I once and starts from the ridge
+    decoder W_r = X_out F^T (F F^T + eps I)^-1, one d x h x N product
+    against that inverse (the least absolute deviations ADMM of Boyd et
+    al., 2011, section 6.1, started from the least squares fit).  It then
+    cycles P1, P3 against the inverse and the B1 update in one d x N work
+    array, recording ||P||_1 + lam ||B1||^2, under :func:`train_robust`'s
+    stopping rule.  Returns the decoder and a state with Z = F and no B2.
 
     The fit runs in F's dtype: its copy of the targets, P, B1, the work
     array and the decoder it multiplies F by take it, and the objective's
@@ -542,9 +548,10 @@ def fit_l1_decoder(features, targets, w_dec, config):
     dtype = features.dtype
     targets = targets.astype(dtype, copy=False)
     state = SplitBregmanState(np.empty_like(targets), features, np.zeros_like(targets), None)
+    inverse = _gram_inverse(features.astype(np.float64, copy=False), config.ridge_eps)
+    w_dec = (targets @ features.T).astype(np.float64, copy=False) @ inverse
     work = np.matmul(w_dec.astype(dtype, copy=False), features)
     np.subtract(targets, work, out=work)
-    inverse = _gram_inverse(features.astype(np.float64, copy=False), config.ridge_eps)
     for _ in range(config.max_iter):
         p_l1 = sparse_residual_pass(work, state.p, state.b1, targets, config.lam)
         w_dec = (work @ features.T).astype(np.float64, copy=False) @ inverse
@@ -578,8 +585,10 @@ def train_robust(tset: TrainingSet, config: TrainConfig):
     """Train the l1-cost autoencoder.
 
     Initializes weights from seeded Gaussians scaled by 1/sqrt(fan-in).
-    An anchored run fits the decoder on F = phi(W_0 X_in), cast to
-    float32, by :func:`fit_l1_decoder`.  A coupled run starts from Z = F,
+    An anchored run keeps W_0 and fits the decoder on F = phi(W_0 X_in),
+    cast to float32, by :func:`fit_l1_decoder`, which starts from the
+    ridge decoder at the cost of one extra d x h x N product, not from the
+    drawn W_dec.  A coupled run starts from the drawn weights, Z = F,
     B1 = 0 and B2 = 0 (P1 writes P before anything reads it) and iterates
     :func:`split_bregman_step` until the relative objective change stays
     below ``rel_tol`` across a window of five objective values or
@@ -592,7 +601,7 @@ def train_robust(tset: TrainingSet, config: TrainConfig):
     if config.latent_update == "anchored":
         # the fit's d x N passes are memory-bound: in float32 they move half the bytes
         z = z.astype(np.float32)
-        model.w_dec, state = fit_l1_decoder(z, tset.x_out, model.w_dec, config)
+        model.w_dec, state = fit_l1_decoder(z, tset.x_out, config)
         return model, state
     x_out = tset.x_out
     state = SplitBregmanState(np.empty_like(x_out), z, np.zeros_like(x_out), np.zeros_like(z))

@@ -46,7 +46,7 @@ METHODS = ("raw", "robust-ae", "l2-ae", "ista")
 @dataclass
 class BenchResult:
     reports: dict  # method name -> MetricReport
-    timing: dict  # label -> seconds (plus the ista/robust-ae speed ratio)
+    timing: dict  # label -> seconds (plus the ista/robust-ae ratio and the robust cycles)
 
 
 def _corpus_split(config: RunConfig, outdir):
@@ -121,7 +121,7 @@ def run_benchmark(config: RunConfig, outdir) -> BenchResult:
     # the l2 baseline first: a divergence raises within its few epochs,
     # before the longer robust run
     l2_model, l2_seconds = _timed(train_l2_baseline, tset, tconf)
-    (robust_model, _), robust_seconds = _timed(train_robust, tset, tconf)
+    (robust_model, robust_state), robust_seconds = _timed(train_robust, tset, tconf)
 
     reports = {m: MetricReport(rows=[]) for m in METHODS if use_ista or m != "ista"}
 
@@ -153,6 +153,7 @@ def run_benchmark(config: RunConfig, outdir) -> BenchResult:
 
     timing = {
         "train_robust_seconds": robust_seconds,
+        "train_robust_cycles": robust_state.iteration,
         "train_l2_seconds": l2_seconds,
     }
     reps = config["timing_reps"]
