@@ -191,9 +191,24 @@ def generate_phantom(kind: str, size: int) -> np.ndarray:
     return img
 
 
+def _ellipse_box(size, a, b, x0, y0, tilt_deg):
+    """Row and column slices holding every pixel of a tilted ellipse: its
+    exact extent on the grid of :func:`_pixel_grid`, widened by one pixel
+    on each side so that rounding drops no boundary pixel."""
+    t = math.radians(tilt_deg)
+    ex = math.hypot(a * math.cos(t), b * math.sin(t))
+    ey = math.hypot(a * math.sin(t), b * math.cos(t))
+    half = (size - 1) / 2.0
+    # pixel (i, j) sits at x = (j - half) / half, y = (half - i) / half
+    spans = ((half - (y0 + ey) * half, half - (y0 - ey) * half),
+             (half + (x0 - ex) * half, half + (x0 + ex) * half))
+    return tuple(slice(max(math.floor(lo) - 1, 0), max(math.ceil(hi) + 2, 0)) for lo, hi in spans)
+
+
 def random_phantom(size: int, rng: SeededRng) -> np.ndarray:
     """Procedural head-style phantom: an enclosing outline ellipse painted
-    at low intensity plus 2-6 interior structures painted over it."""
+    at low intensity plus 2-6 interior structures painted over it, each
+    evaluated only on its bounding box."""
     if size < 16:
         raise ValueError("phantom size must be at least 16")
     x, y = _pixel_grid(size)
@@ -206,16 +221,11 @@ def random_phantom(size: int, rng: SeededRng) -> np.ndarray:
     count = 2 + rng.integer(5)
     for _ in range(count):
         q = rng.uniform(6)
-        inner = ellipse_mask(
-            x,
-            y,
-            0.08 + 0.30 * q[2],
-            0.08 + 0.30 * q[3],
-            x0 - 0.35 + 0.7 * q[0],
-            y0 - 0.35 + 0.7 * q[1],
-            180.0 * q[4],
-        )
-        img[inner & outline] = 0.15 + 0.85 * q[5]
+        a, b = 0.08 + 0.30 * q[2], 0.08 + 0.30 * q[3]
+        xc, yc, tilt = x0 - 0.35 + 0.7 * q[0], y0 - 0.35 + 0.7 * q[1], 180.0 * q[4]
+        box = _ellipse_box(size, a, b, xc, yc, tilt)
+        inner = ellipse_mask(x[box], y[box], a, b, xc, yc, tilt)
+        img[box][inner & outline[box]] = 0.15 + 0.85 * q[5]
     return img
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 
 from .autoencoder import soft_threshold
 from .core import NumericFailure, SeededRng
@@ -81,13 +80,15 @@ def masked_fourier_operator(
 
     def apply(coeffs):
         image = sparsify(coeffs.reshape(shape), transform, "inverse")
-        values = scipy.fft.rfft2(image, norm="ortho").ravel()[gather]
+        # two passes: numpy's rfft2 timed a few percent slower at 128 x 128
+        half_rows = np.fft.rfft(image, axis=1, norm="ortho")
+        values = np.fft.fft(half_rows, axis=0, norm="ortho").ravel()[gather]
         return np.conjugate(values, out=values, where=mirror)
 
     def adjoint(values):
         padded = np.append(values, 0)
         spectrum = 0.5 * (padded[at_k] + padded[at_minus_k].conj())
-        image = scipy.fft.irfft2(spectrum.reshape(height, half), s=shape, norm="ortho")
+        image = np.fft.irfft2(spectrum.reshape(height, half), s=shape, norm="ortho")
         return sparsify(image, transform, "forward").ravel()
 
     return LinearOperator(

@@ -156,6 +156,21 @@ def patch_stride(patch_size: int, overlap: bool) -> int:
     return patch_size // 2 if overlap else patch_size
 
 
+def _padded_windows(img, patch_size, stride):
+    """The patch windows of ``img`` reflect-padded on the bottom/right edges
+    up to the next stride multiple, and the two pad widths."""
+    h, w = img.shape
+    pad_bottom = _padded_length(h, patch_size, stride) - h
+    pad_right = _padded_length(w, patch_size, stride) - w
+    if pad_bottom >= h or pad_right >= w:
+        raise ValueError(
+            f"image {img.shape} too small to reflect-pad for {patch_size}x"
+            f"{patch_size} patches"
+        )
+    padded = np.pad(img, ((0, pad_bottom), (0, pad_right)), mode="reflect")
+    return _patch_windows(padded, patch_size, stride), pad_bottom, pad_right
+
+
 def extract_patches(image, patch_size: int = 32, stride: int | None = None) -> PatchGrid:
     """Cut an image into flattened square patches in row-major order.
 
@@ -169,16 +184,7 @@ def extract_patches(image, patch_size: int = 32, stride: int | None = None) -> P
         stride = patch_size
     if stride != patch_stride(patch_size, overlap=stride != patch_size):
         raise ValueError("stride must equal patch_size or patch_size / 2")
-    h, w = img.shape
-    pad_bottom = _padded_length(h, patch_size, stride) - h
-    pad_right = _padded_length(w, patch_size, stride) - w
-    if pad_bottom >= h or pad_right >= w:
-        raise ValueError(
-            f"image {img.shape} too small to reflect-pad for {patch_size}x"
-            f"{patch_size} patches"
-        )
-    padded = np.pad(img, ((0, pad_bottom), (0, pad_right)), mode="reflect")
-    windows = _patch_windows(padded, patch_size, stride)
+    windows, pad_bottom, pad_right = _padded_windows(img, patch_size, stride)
     rows, cols = windows.shape[:2]
     # copy first: a one-column grid would otherwise reshape to a
     # read-only view whose overlapping rows share memory
@@ -285,18 +291,22 @@ def build_training_set(
             degraded = degrade(clean, _entry_spec(spec, index))
         else:
             degraded = ensure_image(read_tensor(degraded_path))
-        targets.append(extract_patches(clean, patch_size, stride).patches)
-        inputs.append(extract_patches(degraded, patch_size, stride).patches)
-    # filled in place: stacking N x d rows and transposing them costs a strided copy
+        targets.append(_padded_windows(clean, patch_size, stride)[0])
+        inputs.append(_padded_windows(degraded, patch_size, stride)[0])
     dim = patch_size * patch_size
-    x_in = np.empty((dim + 1, sum(len(block) for block in inputs)))
+    x_in = np.empty((dim + 1, sum(w.shape[0] * w.shape[1] for w in inputs)))
     x_in[-1] = 1.0
-    x_out = np.empty((dim, sum(len(block) for block in targets)))
-    for matrix, blocks in ((x_in, inputs), (x_out, targets)):
+    x_out = np.empty((dim, sum(w.shape[0] * w.shape[1] for w in targets)))
+    for matrix, grids in ((x_in, inputs), (x_out, targets)):
         start = 0
-        for block in blocks:
-            matrix[:dim, start : start + len(block)] = block.T
-            start += len(block)
+        for windows in grids:
+            rows, cols = windows.shape[:2]
+            # the windows copy once, straight into their columns: split into
+            # (patch row, patch column, window row, window column), a d x n
+            # block of the matrix is still a view of it
+            block = matrix[:dim, start : start + rows * cols]
+            block.reshape(patch_size, patch_size, rows, cols)[...] = windows.transpose(2, 3, 0, 1)
+            start += rows * cols
     return TrainingSet(x_in, x_out)
 
 

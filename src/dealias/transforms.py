@@ -25,7 +25,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .core import SeededRng, ensure_image, require_integer, write_tensor
 
@@ -471,6 +470,8 @@ def sparsify(values, transform: SparsifyingTransform, direction: str = "forward"
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction: {direction!r}")
     if transform.kind == "dct":
+        import scipy.fft  # here: it loads scipy.special and a second OpenBLAS
+
         if direction == "forward":
             return scipy.fft.dctn(arr, norm="ortho")
         return scipy.fft.idctn(arr, norm="ortho")

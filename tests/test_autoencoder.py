@@ -1195,13 +1195,42 @@ class TestTrainRobust:
             "d.solve_ridge_least_squares(x, x, side='right')\n"
             "print('scipy.linalg' in sys.modules)\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(d.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        assert run_fresh_interpreter(script) == "False"
+
+    def test_only_the_dct_sparsifier_loads_scipy_fft(self):
+        # scipy.fft brings scipy.special and scipy's own OpenBLAS; the MRI
+        # operator runs on numpy's FFT, so only a DCT sparsify imports it
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import dealias as d\n"
+            "image = d.generate_phantom('shepp-logan', 32)\n"
+            "mask = d.make_mask('random', 32, 32, {'fraction': 0.5}, d.SeededRng(0))\n"
+            "haar = d.SparsifyingTransform('haar-wavelet', 2)\n"
+            "d.cs_reconstruct_image(d.fft2(image), mask, haar, 0.01, max_iter=5)\n"
+            "ct = d.DegradationSpec('ct', ct_spacing_deg=10.0)\n"
+            "degraded = [d.degrade(image, ct) for _ in range(3)][-1]\n"
+            "assert d.transforms._PROJECTOR.matrix is not None\n"
+            "x = np.linspace(0.0, 1.0, 16 * 12).reshape(16, 12)\n"
+            "model, _ = d.train_robust(d.TrainingSet.from_arrays(x, x), d.TrainConfig(hidden=4, max_iter=2))\n"
+            "d.reconstruct_image(model, degraded)\n"
+            "print('scipy.fft' in sys.modules)\n"
+            "d.sparsify(image, d.SparsifyingTransform('dct'))\n"
+            "print('scipy.fft' in sys.modules)\n"
         )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert run_fresh_interpreter(script).split() == ["False", "True"]
+
+
+def run_fresh_interpreter(script):
+    """Stdout of ``script`` run by a fresh interpreter that imports this
+    checkout's dealias, so it sees only what dealias itself imports."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(d.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
 
 
 class TestObjectiveL1:

@@ -18,9 +18,23 @@ from hypothesis.extra import numpy as hnp
 from dealias import transforms
 from dealias.autoencoder import AutoencoderModel, load_model, save_model
 from dealias.config import CHOICES, DEFAULTS, parse_config_lines, resolve_config
-from dealias.core import SeededRng, read_tensor, write_tensor
+from dealias.core import (
+    SeededRng,
+    _pixel_grid,
+    ellipse_mask,
+    random_phantom,
+    read_tensor,
+    write_tensor,
+)
 from dealias.cs import masked_fourier_operator, max_eigenvalue
-from dealias.pipeline import extract_patches, reassemble_patches
+from dealias.pipeline import (
+    DegradationSpec,
+    _entry_spec,
+    build_training_set,
+    degrade,
+    extract_patches,
+    reassemble_patches,
+)
 from dealias.transforms import (
     ProjectionSet,
     SamplingMask,
@@ -184,6 +198,30 @@ def test_masked_fourier_adjoint(log_height, log_width, levels, fraction, dct, se
 
 
 @given(
+    log_height=st.integers(1, 6),
+    log_width=st.integers(1, 6),
+    levels=st.integers(1, 6),
+    fraction=st.floats(0.0, 1.0),
+    dct=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_masked_fourier_apply_is_masked_unitary_fft(log_height, log_width, levels, fraction, dct, seed):
+    # whatever FFT the operator runs on, A c is the full unitary 2-d FFT of
+    # the synthesized image read at the selected locations in row-major order
+    height, width = 1 << log_height, 1 << log_width
+    rng = SeededRng(seed)
+    selected = (rng.uniform(height * width) < fraction).reshape(height, width)
+    selected[0, 0] = True
+    levels = min(levels, log_height, log_width)
+    transform = SparsifyingTransform("dct") if dct else SparsifyingTransform("haar-wavelet", levels)
+    coeffs = rng.normal((height, width))
+    got = masked_fourier_operator(SamplingMask("random", selected), transform).apply(coeffs.ravel())
+    expected = transforms.fft2(sparsify(coeffs, transform, "inverse"))[selected]
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@given(
     levels=st.integers(1, 4),
     rows=st.integers(1, 6),
     cols=st.integers(1, 6),
@@ -246,6 +284,86 @@ def test_haar_levels_in_place_match_stacked_levels_bytewise(levels, rows, cols, 
             expected[:hh, :ww] = reference(expected[:hh, :ww])
         got = sparsify(x, transform, direction)
         assert got.tobytes() == expected.tobytes()
+
+
+def full_grid_phantom(size, rng):
+    """Reference painter: every ellipse evaluated on the whole grid."""
+    x, y = _pixel_grid(size)
+    img = np.zeros((size, size))
+    p = rng.uniform(6)
+    x0, y0 = -0.1 + 0.2 * p[2], -0.1 + 0.2 * p[3]
+    outline = ellipse_mask(x, y, 0.55 + 0.3 * p[0], 0.55 + 0.3 * p[1], x0, y0, 180.0 * p[4])
+    img[outline] = 0.15 + 0.25 * p[5]
+    for _ in range(2 + rng.integer(5)):
+        q = rng.uniform(6)
+        inner = ellipse_mask(
+            x, y, 0.08 + 0.30 * q[2], 0.08 + 0.30 * q[3],
+            x0 - 0.35 + 0.7 * q[0], y0 - 0.35 + 0.7 * q[1], 180.0 * q[4],
+        )
+        img[inner & outline] = 0.15 + 0.85 * q[5]
+    return img
+
+
+@given(size=st.integers(16, 160), seed=st.integers(0, 2**64 - 1))
+def test_random_phantom_matches_full_grid_painter_bytewise(size, seed):
+    # each interior ellipse is painted on its bounding box only; the box
+    # must hold every pixel the whole-grid test would paint
+    got = random_phantom(size, SeededRng(seed))
+    assert got.tobytes() == full_grid_phantom(size, SeededRng(seed)).tobytes()
+
+
+# image shapes each modality's degradation takes: power-of-two grids for
+# the FFT, square ones for the radon transform
+CORPUS_SHAPES = {
+    "mri": st.tuples(st.sampled_from([16, 32, 64]), st.sampled_from([16, 32, 64])),
+    "ct": st.integers(12, 48).map(lambda n: (n, n)),
+    "impulse": st.tuples(st.integers(8, 70), st.integers(8, 70)),
+}
+
+
+@given(
+    modality=st.sampled_from(sorted(CORPUS_SHAPES)),
+    patch_size=st.integers(4, 32),
+    overlap=st.booleans(),
+    data=st.data(),
+)
+def test_training_set_stacks_extracted_patches_bytewise(modality, patch_size, overlap, data):
+    # the windows written straight into the matrices are the patches
+    # extract_patches cuts, column-stacked in manifest order
+    if overlap:
+        patch_size &= ~1
+    stride = patch_size // 2 if overlap else patch_size
+    spec = {
+        "mri": DegradationSpec("mri", mask_kind="random", mask_params={"fraction": 0.4}, seed=2),
+        "ct": DegradationSpec("ct", ct_spacing_deg=30.0),
+        "impulse": DegradationSpec("impulse", impulse_fraction=0.2, seed=5),
+    }[modality]
+    shapes = data.draw(st.lists(CORPUS_SHAPES[modality], min_size=1, max_size=4))
+    for shape in shapes:
+        try:
+            extract_patches(np.zeros(shape), patch_size, stride)
+        except ValueError:
+            assume(False)  # too small to reflect-pad
+    seed = data.draw(st.integers(0, 2**16))
+    with tempfile.TemporaryDirectory() as folder:
+        entries, inputs, targets = [], [], []
+        for index, (h, w) in enumerate(shapes):
+            clean_path = os.path.join(folder, f"clean{index}.rdt")
+            write_tensor(clean_path, SeededRng(seed + index).uniform(h * w).reshape(h, w))
+            clean = read_tensor(clean_path)
+            degraded = degrade(clean, _entry_spec(spec, index))
+            degraded_path = None
+            if data.draw(st.booleans()):  # a precomputed degraded image
+                degraded_path = os.path.join(folder, f"degraded{index}.rdt")
+                write_tensor(degraded_path, degraded)
+                degraded = read_tensor(degraded_path)
+            entries.append((clean_path, degraded_path))
+            inputs.append(extract_patches(degraded, patch_size, stride).patches.T)
+            targets.append(extract_patches(clean, patch_size, stride).patches.T)
+        tset = build_training_set(entries, spec, patch_size, overlap)
+    inputs, targets = np.hstack(inputs), np.hstack(targets)
+    assert tset.x_in.tobytes() == np.vstack([inputs, np.ones(inputs.shape[1])]).tobytes()
+    assert tset.x_out.tobytes() == targets.tobytes()
 
 
 @given(
