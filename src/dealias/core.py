@@ -170,14 +170,18 @@ def ellipse_mask(x, y, a, b, x0, y0, tilt_deg):
     return u * u + v * v <= 1.0
 
 
+def check_phantom_size(size: int) -> None:
+    if size < 16:
+        raise ValueError("phantom size must be at least 16")
+
+
 def generate_phantom(kind: str, size: int) -> np.ndarray:
     """Deterministic test image of shape (size, size) with values in [0, 1].
 
     ``kind`` is "shepp-logan" (the standard 10-ellipse head phantom) or
     "disks" (a fixed layout of painted disks).
     """
-    if size < 16:
-        raise ValueError("phantom size must be at least 16")
+    check_phantom_size(size)
     x, y = _pixel_grid(size)
     img = np.zeros((size, size))
     if kind == "shepp-logan":
@@ -209,8 +213,7 @@ def random_phantom(size: int, rng: SeededRng) -> np.ndarray:
     """Procedural head-style phantom: an enclosing outline ellipse painted
     at low intensity plus 2-6 interior structures painted over it, each
     evaluated only on its bounding box."""
-    if size < 16:
-        raise ValueError("phantom size must be at least 16")
+    check_phantom_size(size)
     x, y = _pixel_grid(size)
     img = np.zeros((size, size))
     p = rng.uniform(6)

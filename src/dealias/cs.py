@@ -156,6 +156,8 @@ def ista_solve(
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     y = np.asarray(y)
     top = op.norm_sq
     if top is None:
@@ -183,7 +185,7 @@ def ista_solve(
     return CsSolveReport(
         solution=x,
         iterations=iterations,
-        final_objective=history[-1] if history else _objective(residual, x, lam),
+        final_objective=history[-1],
         residual_norm=float(np.linalg.norm(residual)),
         objective_history=history,
     )

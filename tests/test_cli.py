@@ -102,6 +102,14 @@ class TestDispatch:
                    "--levels", "3") == 0
         assert read_tensor(out).shape == (64, 64)
 
+    def test_cs_recon_without_iterations_exits_2(self, tmp_path, capsys):
+        img = tmp_path / "img.rdt"
+        run("phantom", "--size", "64", "--out", str(img))
+        out = tmp_path / "cs.rdt"
+        assert run("cs-recon", "--image", str(img), "--out", str(out), "--iters", "0") == 2
+        assert "max_iter" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_and_reconstruct(self, tmp_path):
         paths = []
         for i in range(2):
@@ -414,6 +422,10 @@ class TestBench:
         ["corpus_size=32", "wavelet_levels=6"],
         ["corpus_size=48"],
         ["train_overlap=true"],
+        ["corpus_size=8"],
+        ["patch_size=128"],
+        ["ista_iters=-3"],
+        ["timing_ista_iters=-1"],
     ], ids=" ".join)
     def test_bad_setting_fails_before_any_work(self, tmp_path, settings):
         out = tmp_path / "out"
@@ -501,3 +513,55 @@ class TestBench:
         # reproducibility header present
         assert text.startswith("# ")
         assert "# hidden=8\n" in text
+
+    @pytest.mark.parametrize("modality", ["ct", "impulse"])
+    def test_bench_off_mri_scores_three_methods(self, tmp_path, modality):
+        out1, out2 = tmp_path / "run1", tmp_path / "run2"
+        argv = bench_args(tmp_path, out1) + ["--set", f"modality={modality}"]
+        assert command_dispatch(argv) == 0
+        methods = ["raw", "robust-ae", "l2-ae"]
+        assert sorted(p.name for p in out1.glob("*.csv")) == sorted(
+            [f"{m}.csv" for m in methods] + ["summary.csv", "timing.csv"]
+        )
+
+        def first_column(name):
+            lines = (out1 / name).read_text().splitlines()
+            return [line.split(",")[0] for line in lines if not line.startswith("#")][1:]
+
+        assert first_column("summary.csv") == methods
+        assert not [label for label in first_column("timing.csv") if label.startswith("ista")]
+        from dealias.bench import run_benchmark
+
+        run_benchmark(config_from_report_header(out1 / "summary.csv"), out2)
+        for name in ["summary.csv"] + [f"{m}.csv" for m in methods]:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_training_arrays_released_before_scoring(self, tmp_path, monkeypatch):
+        import weakref
+
+        from dealias import bench
+
+        refs = {}
+
+        def keep_ref(name, fn):
+            def wrapped(*args):
+                result = fn(*args)
+                refs[name] = weakref.ref(result if name == "tset" else result[1])
+                return result
+            return wrapped
+
+        monkeypatch.setattr(
+            bench, "build_training_set", keep_ref("tset", bench.build_training_set)
+        )
+        monkeypatch.setattr(bench, "train_robust", keep_ref("state", bench.train_robust))
+        alive_at_scoring = []
+        reconstruct = bench.reconstruct_image
+
+        def checked_reconstruct(*args):
+            if not alive_at_scoring:
+                alive_at_scoring.append({k: ref() is not None for k, ref in refs.items()})
+            return reconstruct(*args)
+
+        monkeypatch.setattr(bench, "reconstruct_image", checked_reconstruct)
+        assert command_dispatch(bench_args(tmp_path, tmp_path / "out")) == 0
+        assert alive_at_scoring == [{"tset": False, "state": False}]

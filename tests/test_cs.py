@@ -131,6 +131,11 @@ class TestIsta:
         assert op.norm_sq == 1.0
         assert np.abs(known.solution - estimated.solution).max() <= 1e-9
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_no_iterations_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            ista_solve(operator_from_matrix(np.eye(4)), np.ones(4), 0.1, max_iter)
+
     def test_report_fields_finite(self):
         a = SeededRng(10).normal((8, 12))
         report = ista_solve(operator_from_matrix(a), np.ones(8), 0.1, 50, 1e-8)
